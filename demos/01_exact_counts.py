@@ -7,7 +7,7 @@ from partition_dos import (
     SpectrumSpec,
     build_table,
     count,
-    distinct_restricted_via_identity,
+    distinct_restricted_table,
     enumerate_partitions,
 )
 
@@ -32,6 +32,6 @@ print("p(1000) =", table[1000])
 
 # Distinct-with-a-part-cap counts can be rebuilt purely from plain
 # restricted counts by peeling off a staircase; both routes agree.
-print("\nd_30(100) via staircase identity:", distinct_restricted_via_identity(30, 100))
+print("\nd_30(100) via staircase identity:", distinct_restricted_table(30, 100)[100])
 print("d_30(100) via direct dynamic programming:",
       count(SpectrumSpec(s=1, distinct=True, max_parts=30), 100))

@@ -13,7 +13,6 @@ from .asymptotic import (
     erdos_lehner_factor,
     eta,
     fermi_density_s1,
-    gamma_real,
     make_model,
     rho_restricted_bose,
     rho_restricted_fermi,
@@ -22,14 +21,12 @@ from .asymptotic import (
     zeta,
 )
 from .counting import (
-    UNBOUNDED,
     PartitionTable,
     SpectrumSpec,
     build_table,
     conjugate_restricted_table,
     count,
     distinct_restricted_table,
-    distinct_restricted_via_identity,
     enumerate_partitions,
     iter_partitions,
     odd_parts_table,
@@ -66,12 +63,12 @@ from .saddle import (
 from .series import (
     IdentityReport,
     IntSeries,
-    add,
     bose_gf,
     distinct_restricted_gf,
     fermi_gf,
+    first_mismatch,
     geometric_factor,
-    mul,
+    identities,
     one_minus_power,
     one_plus_power,
     verify_identity,

@@ -63,13 +63,6 @@ def zeta(x: float) -> float:
     return eta(x) / (1.0 - 2.0 ** (1.0 - x))
 
 
-def gamma_real(x: float) -> float:
-    """Gamma function on the positive real axis."""
-    if x <= 0:
-        raise DomainError(f"gamma_real requires x > 0, got {x!r}")
-    return math.gamma(x)
-
-
 @dataclass(frozen=True)
 class AsymptoticModel:
     """Constants of the smooth density for one (s, statistics) pair.
@@ -96,7 +89,7 @@ def make_model(s: float, statistics: str, rademacher_shift: bool = False) -> Asy
         raise DomainError("the -1/24 shift applies only to s=1 multiset counting")
     s = float(s)
     arg = 1.0 + 1.0 / s
-    g = gamma_real(arg)
+    g = math.gamma(arg)
     c = g * zeta(arg)
     d = g * eta(arg)
     return AsymptoticModel(
@@ -164,7 +157,7 @@ def bose_density_s2(E: float) -> float:
     """sqrt(2/3) kappa_2 / (2 pi)**1.5 * exp(3 kappa_2 E**(1/3)) / E**(7/6)."""
     if E <= 0:
         raise DomainError(f"E must be positive, got {E!r}")
-    kappa2 = (gamma_real(1.5) * zeta(1.5) / 2.0) ** (2.0 / 3.0)
+    kappa2 = (math.gamma(1.5) * zeta(1.5) / 2.0) ** (2.0 / 3.0)
     return (
         math.sqrt(2.0 / 3.0)
         * kappa2

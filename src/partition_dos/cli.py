@@ -39,7 +39,7 @@ def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float64 reprs as np.float64(x)
     return str(value)
 
 
@@ -175,13 +175,22 @@ def cmd_saddle(args) -> int:
     return EXIT_OK
 
 
+def _table_and_model(s: int, distinct: bool, n_max: int, shift: bool = False):
+    """Exact counts up to n_max and the smooth model they are compared with.
+
+    Spec and model are checked first, so a bad argument fails before the
+    costly table is built.
+    """
+    spec = counting.SpectrumSpec(s, distinct)
+    stats = asymptotic.FERMI if distinct else asymptotic.BOSE
+    model = asymptotic.make_model(s, stats, shift)
+    return counting.build_table(spec, n_max), model
+
+
 def cmd_compare(args) -> int:
-    spec = counting.SpectrumSpec(args.s, args.distinct)
-    stats = asymptotic.FERMI if args.distinct else asymptotic.BOSE
-    model = asymptotic.make_model(args.s, stats, args.shift)
     if args.min < 1 or args.min > args.max:
         raise DomainError("need 1 <= --min <= --max")
-    table = counting.build_table(spec, args.max)
+    table, model = _table_and_model(args.s, args.distinct, args.max, args.shift)
     rows = []
     for n in range(args.min, args.max + 1):
         exact = table.counts[n]
@@ -200,10 +209,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_fluct(args) -> int:
-    spec = counting.SpectrumSpec(args.s, args.distinct)
-    stats = asymptotic.FERMI if args.distinct else asymptotic.BOSE
-    model = asymptotic.make_model(args.s, stats)
-    table = counting.build_table(spec, args.max)
+    table, model = _table_and_model(args.s, args.distinct, args.max)
     report = fluctuation.analyze(
         table, model, window=args.window, n_min=args.min, spectrum=args.spectrum
     )
@@ -231,76 +237,16 @@ def cmd_fluct(args) -> int:
     return EXIT_OK
 
 
-def _audit_checks(degree: int, inject_fault: bool):
-    """Yield (name, ok, first_mismatch) for the exact identity suite."""
-    dp_table = list(counting.build_table(counting.SpectrumSpec(1, False), degree).counts)
-    if inject_fault:
-        dp_table[min(3, degree)] += 1
-    gf = series.bose_gf(1, degree)
-    yield _compare_seq("gf_vs_dp_bose_s1", gf.coeffs, dp_table)
-
-    for s, distinct, name in (
-        (2, False, "gf_vs_dp_bose_s2"),
-        (1, True, "gf_vs_dp_fermi_s1"),
-        (2, True, "gf_vs_dp_fermi_s2"),
-    ):
-        table = counting.build_table(counting.SpectrumSpec(s, distinct), degree).counts
-        gf = series.fermi_gf(s, degree) if distinct else series.bose_gf(s, degree)
-        yield _compare_seq(name, gf.coeffs, table)
-
-    for n_parts in (4, 10, 30):
-        via_identity = counting.distinct_restricted_table(n_parts, degree)
-        direct = counting.build_table(
-            counting.SpectrumSpec(1, True, n_parts), degree
-        ).counts
-        yield _compare_seq(f"staircase_decomposition_N{n_parts}", via_identity, direct)
-
-    # Staircase series form: the full distinct product equals the staircase
-    # sum once every truncated staircase offset is included.
-    i_eff = 1
-    while i_eff * (i_eff + 1) // 2 <= degree:
-        i_eff += 1
-    report = series.verify_identity(
-        series.fermi_gf(1, degree), series.distinct_restricted_gf(i_eff, degree)
-    )
-    yield ("staircase_series", report.equal, report.first_mismatch)
-
-    for n_parts in (2, 7, 20, 50):
-        conj = counting.conjugate_restricted_table(n_parts, degree)
-        direct = counting.build_table(
-            counting.SpectrumSpec(1, False, n_parts), degree
-        ).counts
-        yield _compare_seq(f"conjugation_N{n_parts}", conj, direct)
-
-    odd = counting.odd_parts_table(degree)
-    distinct = counting.build_table(counting.SpectrumSpec(1, True), degree).counts
-    yield _compare_seq("euler_odd_equals_distinct", odd, distinct)
-
-    for s in (1, 2):
-        lhs = series.fermi_gf(s, degree)
-        rhs = series.IntSeries([1], degree)
-        m = 1
-        while m**s <= degree:
-            rhs = rhs * series.one_minus_power(2 * m**s, degree)
-            rhs = rhs * series.geometric_factor(m**s, degree)
-            m += 1
-        report = series.verify_identity(lhs, rhs)
-        yield (f"euler_factorization_s{s}", report.equal, report.first_mismatch)
-
-
-def _compare_seq(name, got, expected):
-    for n, (a, b) in enumerate(zip(got, expected)):
-        if a != b:
-            return (name, False, n)
-    return (name, True, None)
-
-
 def cmd_audit(args) -> int:
     rows = []
     failed = False
-    for name, ok, first_mismatch in _audit_checks(args.degree, args.inject_fault):
-        rows.append((name, "ok" if ok else "mismatch", first_mismatch))
-        failed = failed or not ok
+    for k, (name, lhs, rhs) in enumerate(series.identities(args.degree)):
+        if args.inject_fault and k == 0:
+            rhs = list(rhs)
+            rhs[min(3, args.degree)] += 1
+        bad = series.first_mismatch(lhs, rhs)
+        rows.append((name, "ok" if bad is None else "mismatch", bad))
+        failed = failed or bad is not None
     meta = _meta("audit", degree=args.degree, inject_fault=args.inject_fault)
     write_dataset(meta, ["identity", "status", "first_mismatch"], rows, args)
     return EXIT_IDENTITY if failed else EXIT_OK
@@ -311,10 +257,8 @@ def cmd_figure(args) -> int:
     if fid in (1, 2, 3, 4):
         s = 1 if fid in (1, 3) else 2
         distinct = fid in (3, 4)
-        stats = asymptotic.FERMI if distinct else asymptotic.BOSE
         n_max = args.max if args.max is not None else 1000
-        table = counting.build_table(counting.SpectrumSpec(s, distinct), n_max)
-        model = asymptotic.make_model(s, stats)
+        table, model = _table_and_model(s, distinct, n_max)
         rows = [
             (n, table.counts[n], asymptotic.rho_unrestricted(model, float(n)))
             for n in range(1, n_max + 1)
@@ -327,21 +271,16 @@ def cmd_figure(args) -> int:
         n_parts = args.parts
         grid = _validity_grid(n_parts)
         top = grid.stop - 1
-        rows = []
         if fid == 5:
-            exact = counting.conjugate_restricted_table(n_parts, top)
-            for n in grid:
-                p_n = float(exact[n])
-                unrestricted = asymptotic.bose_density_s1(float(n))
-                restricted = asymptotic.rho_restricted_bose(float(n), n_parts).value
-                rows.append((n, unrestricted - p_n, restricted - p_n))
+            table = counting.conjugate_restricted_table(n_parts, top)
+            free = asymptotic.bose_density_s1
+            capped = lambda e: asymptotic.rho_restricted_bose(e, n_parts).value
         else:
-            exact = counting.distinct_restricted_table(n_parts, top)
-            for n in grid:
-                d_n = float(exact[n])
-                unrestricted = asymptotic.fermi_density_s1(float(n))
-                restricted = asymptotic.rho_restricted_fermi(float(n), n_parts)
-                rows.append((n, unrestricted - d_n, restricted - d_n))
+            table = counting.distinct_restricted_table(n_parts, top)
+            free = asymptotic.fermi_density_s1
+            capped = lambda e: asymptotic.rho_restricted_fermi(e, n_parts)
+        rows = [(n, free(float(n)) - float(table[n]), capped(float(n)) - float(table[n]))
+                for n in grid]
         meta = _meta("figure", id=fid, parts=n_parts, min=grid.start, max=top)
         write_dataset(meta, ["n", "diff_unrestricted", "diff_restricted"], rows, args)
         return EXIT_OK

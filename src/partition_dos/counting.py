@@ -15,10 +15,6 @@ from typing import Iterator
 from .errors import DomainError, EnumerationOverflowError, ResourceLimitError
 from .limits import MAX_TABLE_ENV, max_table_size
 
-#: Sentinel for "no cap on the number of parts".
-UNBOUNDED = None
-
-
 @dataclass(frozen=True)
 class SpectrumSpec:
     """Which family of partitions is being counted.
@@ -30,7 +26,7 @@ class SpectrumSpec:
 
     s: int = 1
     distinct: bool = False
-    max_parts: int | None = UNBOUNDED
+    max_parts: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.s, int) or self.s < 1:
@@ -88,49 +84,49 @@ def build_table(spec: SpectrumSpec, n_max: int) -> PartitionTable:
             f"n_max={n_max} exceeds the table cap {cap} (override with {MAX_TABLE_ENV})"
         )
     values = spec.part_values(n_max)
-    if spec.max_parts is UNBOUNDED:
-        row = [0] * (n_max + 1)
-        row[0] = 1
-        if spec.distinct:
-            for v in values:
-                for j in range(n_max, v - 1, -1):
-                    row[j] += row[j - v]
-        else:
-            for v in values:
-                for j in range(v, n_max + 1):
-                    row[j] += row[j - v]
-        counts = row
+    if spec.max_parts is None:
+        counts = [0] * (n_max + 1)
+        counts[0] = 1
+        for v in values:
+            _add_part(counts, v, spec.distinct)
     else:
         by_parts = _counts_by_part_number(values, spec.distinct, spec.max_parts, n_max)
         counts = [sum(layer[j] for layer in by_parts) for j in range(n_max + 1)]
     return PartitionTable(spec, tuple(counts))
 
 
+def _add_part(row: list[int], v: int, distinct: bool = False) -> None:
+    """Admit the part value v into the counts in `row`, in place.
+
+    row[j] += row[j - v] for every j >= v.  Sweeping j upward reads entries
+    that already include v, so v may repeat; sweeping downward reads only
+    entries from before v, so v is used at most once.
+    """
+    js = range(len(row) - 1, v - 1, -1) if distinct else range(v, len(row))
+    for j in js:
+        row[j] += row[j - v]
+
+
 def _counts_by_part_number(
     values: list[int], distinct: bool, n_parts: int, n_max: int
 ) -> list[list[int]]:
-    """dp[k][j] = partitions of j into exactly k parts from `values`."""
+    """dp[k][j] = partitions of j into exactly k parts from `values`.
+
+    Each value v moves counts from k - 1 parts to k parts.  Taking k downward
+    reads a dp[k - 1] that v has not touched yet, so v is used at most once;
+    taking k upward reads a dp[k - 1] that already holds v, so v may repeat.
+    The j order does not matter because dp[k] and dp[k - 1] are different rows.
+    """
     dp = [[0] * (n_max + 1) for _ in range(n_parts + 1)]
     dp[0][0] = 1
-    if distinct:
-        # 0/1 use per value: sweep j downward so dp[k-1][j-v] predates v.
-        for v in values:
-            for k in range(n_parts, 0, -1):
-                cur, prev = dp[k], dp[k - 1]
-                for j in range(n_max, v - 1, -1):
-                    below = prev[j - v]
-                    if below:
-                        cur[j] += below
-    else:
-        # Repeated use: sweep j upward so a value can contribute more than once,
-        # each repetition costing one part.
-        for v in values:
-            for k in range(1, n_parts + 1):
-                cur, prev = dp[k], dp[k - 1]
-                for j in range(v, n_max + 1):
-                    below = prev[j - v]
-                    if below:
-                        cur[j] += below
+    ks = range(n_parts, 0, -1) if distinct else range(1, n_parts + 1)
+    for v in values:
+        for k in ks:
+            cur, prev = dp[k], dp[k - 1]
+            for j in range(v, n_max + 1):
+                below = prev[j - v]
+                if below:
+                    cur[j] += below
     return dp
 
 
@@ -195,6 +191,11 @@ def conjugate_restricted_table(n_parts: int, n_max: int) -> list[int]:
     Computed in the conjugate representation: transposing a Young diagram
     swaps "at most N parts" with "every part <= N", so a single unbounded
     knapsack over the part values 1..N suffices.  s = 1, repeats allowed.
+
+    Kept as the oracle for the part-number DP of
+    build_table(SpectrumSpec(1, False, n_parts), ...), which the audit
+    identities conjugation_N* check it against; it is also the exact count
+    behind figure 5.
     """
     if not isinstance(n_parts, int) or n_parts < 1:
         raise DomainError(f"n_parts must be a positive integer, got {n_parts!r}")
@@ -203,20 +204,23 @@ def conjugate_restricted_table(n_parts: int, n_max: int) -> list[int]:
     row = [0] * (n_max + 1)
     row[0] = 1
     for v in range(1, min(n_parts, n_max) + 1):
-        for j in range(v, n_max + 1):
-            row[j] += row[j - v]
+        _add_part(row, v)
     return row
 
 
 def odd_parts_table(n_max: int) -> list[int]:
-    """Counts of partitions of n into odd parts (classical mate of the distinct count)."""
+    """Counts of partitions of n into odd parts, for n = 0..n_max.
+
+    By Euler's theorem these equal the distinct-part counts, so this is the
+    oracle for build_table(SpectrumSpec(1, True), ...) in the audit identity
+    euler_odd_equals_distinct.
+    """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max!r}")
     row = [0] * (n_max + 1)
     row[0] = 1
     for v in range(1, n_max + 1, 2):
-        for j in range(v, n_max + 1):
-            row[j] += row[j - v]
+        _add_part(row, v)
     return row
 
 
@@ -230,7 +234,9 @@ def distinct_restricted_table(n_parts: int, n_max: int) -> list[int]:
 
     where p_i is the at-most-i-parts count and the i = 0 term is the empty
     partition at n = 0.  This touches only plain restricted counts, which
-    makes it an independent route to d_N.
+    makes it the oracle for the part-number DP of
+    build_table(SpectrumSpec(1, True, n_parts), ...) in the audit identities
+    staircase_decomposition_N*; it is also the exact count behind figure 6.
     """
     if not isinstance(n_parts, int) or n_parts < 1:
         raise DomainError(f"n_parts must be a positive integer, got {n_parts!r}")
@@ -244,19 +250,8 @@ def distinct_restricted_table(n_parts: int, n_max: int) -> list[int]:
         tri = i * (i + 1) // 2
         if tri > n_max:
             break
-        for j in range(i, n_max + 1):  # extend base from "<= i-1 parts" to "<= i parts"
-            base[j] += base[j - i]
+        _add_part(base, i)  # extend base from "<= i-1 parts" to "<= i parts"
         for n in range(tri, n_max + 1):
             out[n] += base[n - tri]
     return out
 
-
-def distinct_restricted_via_identity(n_parts: int, n: int) -> int:
-    """d_N(n) computed purely through non-distinct restricted counts.
-
-    Must agree with count(SpectrumSpec(1, distinct=True, max_parts=N), n);
-    the equality is exercised by the test suite.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
-    return distinct_restricted_table(n_parts, n)[n]

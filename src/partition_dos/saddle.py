@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .asymptotic import BOSE, FERMI, eta, gamma_real, zeta
+from .asymptotic import BOSE, FERMI, eta, zeta
 from .errors import BracketingError, ConvergenceError, DomainError
 
 # exp(-37) < 1e-16: once beta * m**s passes this, further terms are dust.
@@ -230,7 +230,7 @@ def entropy_poisson_s2(E: float, beta: float, q_max: int, l_max: int) -> Poisson
     if l_max < 1:
         raise DomainError(f"l_max must be a positive integer, got {l_max!r}")
 
-    d2 = gamma_real(1.5) * eta(1.5)
+    d2 = math.gamma(1.5) * eta(1.5)
     smooth = beta * E + d2 / math.sqrt(beta) - 0.5 * math.log(2.0)
     prefactor = math.sqrt(math.pi / beta)
     threshold = 1e-18 * abs(smooth)

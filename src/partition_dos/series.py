@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import counting
 from .errors import DegreeMismatchError, DomainError, ResourceLimitError
 from .limits import MAX_DEGREE_ENV, max_series_degree
 
@@ -66,13 +67,6 @@ class IntSeries:
         d = min(self.degree, other.degree)
         return IntSeries([self._coeffs[i] + other._coeffs[i] for i in range(d + 1)])
 
-    def __sub__(self, other: "IntSeries") -> "IntSeries":
-        d = min(self.degree, other.degree)
-        return IntSeries([self._coeffs[i] - other._coeffs[i] for i in range(d + 1)])
-
-    def __neg__(self) -> "IntSeries":
-        return IntSeries([-c for c in self._coeffs])
-
     def __mul__(self, other: "IntSeries") -> "IntSeries":
         d = min(self.degree, other.degree)
         a, b = self._coeffs, other._coeffs
@@ -97,15 +91,6 @@ class IntSeries:
         shown = list(self._coeffs[:8])
         tail = "..." if self.degree > 7 else ""
         return f"IntSeries({shown}{tail}, degree={self.degree})"
-
-
-def mul(a: IntSeries, b: IntSeries) -> IntSeries:
-    """Exact product, truncated at the smaller input degree."""
-    return a * b
-
-
-def add(a: IntSeries, b: IntSeries) -> IntSeries:
-    return a + b
 
 
 def _check_degree(degree: int) -> None:
@@ -157,7 +142,9 @@ def bose_gf(s: int, degree: int, m_max: int | None = None) -> IntSeries:
     """Product of 1/(1 - x^(m**s)); coefficient of x^n counts multisets.
 
     With m_max set, the product stops at m = m_max; for s = 1 that equals
-    the at-most-m_max-parts count by conjugation.
+    the at-most-m_max-parts count by conjugation, which makes bose_gf(1, d,
+    m_max=N) the generating-function oracle for
+    counting.conjugate_restricted_table(N, d) in the tests.
     """
     if not isinstance(s, int) or s < 1:
         raise DomainError(f"s must be a positive integer, got {s!r}")
@@ -193,7 +180,10 @@ def distinct_restricted_gf(n_parts: int, degree: int) -> IntSeries:
 
     Sum over i of x^(i(i+1)/2) * product_{v<=i} 1/(1 - x^v), staircase form;
     the i = 0 term contributes the constant 1 so that the coefficient of x^0
-    matches the empty-partition convention.
+    matches the empty-partition convention.  This is the series form of
+    counting.distinct_restricted_table; with every staircase offset included
+    it is the oracle for the full product fermi_gf(1, degree) in the audit
+    identity staircase_series.
     """
     if not isinstance(n_parts, int) or n_parts < 1:
         raise DomainError(f"n_parts must be a positive integer, got {n_parts!r}")
@@ -228,13 +218,67 @@ class IdentityReport:
         return f"mismatch at index {self.first_mismatch}"
 
 
+def first_mismatch(lhs, rhs) -> int | None:
+    """Index of the first coefficient where two sequences differ, or None."""
+    return next((n for n, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
+
+
 def verify_identity(lhs: IntSeries, rhs: IntSeries) -> IdentityReport:
     """Compare two series sharing a truncation degree."""
     if lhs.degree != rhs.degree:
         raise DegreeMismatchError(
             f"degrees differ: {lhs.degree} vs {rhs.degree}"
         )
-    for n in range(lhs.degree + 1):
-        if lhs.coeffs[n] != rhs.coeffs[n]:
-            return IdentityReport(False, n, lhs.degree)
-    return IdentityReport(True, None, lhs.degree)
+    n = first_mismatch(lhs.coeffs, rhs.coeffs)
+    return IdentityReport(n is None, n, lhs.degree)
+
+
+def identities(degree: int):
+    """Yield (name, lhs, rhs): the exact identity suite up to x^degree.
+
+    lhs and rhs are coefficient sequences of length degree + 1 that agree
+    term by term when the identity holds.  Each pairs a fast route with an
+    independent one: generating functions against the knapsack tables, the
+    staircase decomposition, Young-diagram conjugation, and Euler's
+    distinct = odd parts in table and product form.  The names and their
+    order are the output contract of the `audit` command.
+    """
+
+    def table(s: int, distinct: bool, n_parts: int | None = None) -> tuple[int, ...]:
+        spec = counting.SpectrumSpec(s, distinct, n_parts)
+        return counting.build_table(spec, degree).counts
+
+    for s, distinct in ((1, False), (2, False), (1, True), (2, True)):
+        dp = table(s, distinct)
+        gf = fermi_gf(s, degree) if distinct else bose_gf(s, degree)
+        yield f"gf_vs_dp_{'fermi' if distinct else 'bose'}_s{s}", gf.coeffs, dp
+
+    for n_parts in (4, 10, 30):
+        yield (f"staircase_decomposition_N{n_parts}",
+               counting.distinct_restricted_table(n_parts, degree),
+               table(1, True, n_parts))
+
+    # The full distinct product equals the staircase sum once every
+    # staircase offset i(i+1)/2 <= degree is included.
+    i_eff = 1
+    while i_eff * (i_eff + 1) // 2 <= degree:
+        i_eff += 1
+    yield ("staircase_series", fermi_gf(1, degree).coeffs,
+           distinct_restricted_gf(i_eff, degree).coeffs)
+
+    for n_parts in (2, 7, 20, 50):
+        yield (f"conjugation_N{n_parts}",
+               counting.conjugate_restricted_table(n_parts, degree),
+               table(1, False, n_parts))
+
+    yield "euler_odd_equals_distinct", counting.odd_parts_table(degree), table(1, True)
+
+    # prod (1 + x^v) = prod (1 - x^(2v)) / (1 - x^v) over the part values v.
+    for s in (1, 2):
+        lhs = fermi_gf(s, degree)
+        rhs = IntSeries([1], degree)
+        m = 1
+        while m**s <= degree:
+            rhs = rhs * one_minus_power(2 * m**s, degree) * geometric_factor(m**s, degree)
+            m += 1
+        yield f"euler_factorization_s{s}", lhs.coeffs, rhs.coeffs

@@ -40,12 +40,6 @@ def test_zeta_against_scipy(x):
     assert pd.zeta(x) == pytest.approx(float(special.zeta(x)), rel=1e-10)
 
 
-def test_gamma_values():
-    assert pd.gamma_real(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert pd.gamma_real(1.5) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-14)
-    assert pd.gamma_real(4.0) == pytest.approx(6.0, rel=1e-14)
-
-
 @pytest.mark.parametrize(
     "bad",
     [
@@ -53,8 +47,6 @@ def test_gamma_values():
         lambda: pd.eta(-1.0),
         lambda: pd.zeta(1.0),
         lambda: pd.zeta(0.5),
-        lambda: pd.gamma_real(0.0),
-        lambda: pd.gamma_real(-2.0),
     ],
 )
 def test_special_function_domains(bad):

@@ -130,6 +130,8 @@ def test_fluct_ratio_alignment(capsys):
     filled = [r for r in rows if r[2] != ""]
     assert len(filled) == 60 - 10 + 1
     assert len(blank) == 9
+    for r in filled:
+        float(r[2])  # a plain number, not a numpy repr such as np.float64(x)
     assert "first_ratio=" in lines[0] and "last_ratio=" in lines[0]
 
 
@@ -137,18 +139,20 @@ def audit_statuses(out):
     return [line.split(",")[1] for line in out.strip().splitlines()[2:]]
 
 
-def test_audit_green_and_fault_injection(capsys):
-    code, out = run(capsys, ["audit", "--degree", "60"])
+@pytest.mark.parametrize("degree", [2, 60])
+def test_audit_green_and_fault_injection(capsys, degree):
+    code, out = run(capsys, ["audit", "--degree", str(degree)])
     assert code == 0
     assert set(audit_statuses(out)) == {"ok"}
-    code, out = run(capsys, ["audit", "--degree", "60", "--inject-fault"])
+    code, out = run(capsys, ["audit", "--degree", str(degree), "--inject-fault"])
     assert code == 1
     line = next(l for l in out.splitlines() if ",mismatch," in l)
-    assert line.split(",")[2] == "3"  # corrupted index reported
+    assert line.split(",")[2] == str(min(3, degree))  # corrupted index reported
 
 
-def test_audit_degree_zero_trivially_passes(capsys):
-    code, out = run(capsys, ["audit", "--degree", "0"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_audit_degree_zero_trivially_passes(capsys, degree):
+    code, out = run(capsys, ["audit", "--degree", str(degree)])
     assert code == 0
     assert set(audit_statuses(out)) == {"ok"}
 

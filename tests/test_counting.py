@@ -94,8 +94,8 @@ def test_enumerate_cap_overflow():
         lambda: pd.count(pd.SpectrumSpec(1), -1),
         lambda: pd.build_table(pd.SpectrumSpec(1), -1),
         lambda: pd.enumerate_partitions(pd.SpectrumSpec(1), 5, 0),
-        lambda: pd.distinct_restricted_via_identity(0, 5),
-        lambda: pd.distinct_restricted_via_identity(3, -1),
+        lambda: pd.distinct_restricted_table(0, 5)[5],
+        lambda: pd.distinct_restricted_table(3, -1)[-1],
         lambda: pd.conjugate_restricted_table(0, 10),
         lambda: pd.odd_parts_table(-1),
     ],
@@ -158,9 +158,9 @@ def test_euler_odd_equals_distinct():
 
 
 def test_staircase_identity_examples():
-    assert pd.distinct_restricted_via_identity(4, 5) == 3
-    assert pd.distinct_restricted_via_identity(1, 7) == 1
-    assert pd.distinct_restricted_via_identity(30, 100) == pd.count(
+    assert pd.distinct_restricted_table(4, 5)[5] == 3
+    assert pd.distinct_restricted_table(1, 7)[7] == 1
+    assert pd.distinct_restricted_table(30, 100)[100] == pd.count(
         pd.SpectrumSpec(1, True, 30), 100
     )
 
@@ -187,6 +187,6 @@ def test_count_matches_enumeration_oracle(s, distinct, parts, n):
 @settings(max_examples=40, deadline=None)
 @given(n_parts=st.integers(1, 12), n=st.integers(0, 60))
 def test_staircase_identity_random_spots(n_parts, n):
-    assert pd.distinct_restricted_via_identity(n_parts, n) == pd.count(
+    assert pd.distinct_restricted_table(n_parts, n)[n] == pd.count(
         pd.SpectrumSpec(1, True, n_parts), n
     )

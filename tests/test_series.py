@@ -17,7 +17,7 @@ def test_geometric_factor():
 
 
 def test_mul_example():
-    prod = pd.mul(pd.IntSeries([1, 1, 1]), pd.IntSeries([1, -1, 0]))
+    prod = pd.IntSeries([1, 1, 1]) * pd.IntSeries([1, -1, 0])
     assert prod.coeffs == (1, 0, 0)
 
 
@@ -60,7 +60,7 @@ def test_mul_distributes_over_add(a, b, c):
 
 
 def test_add_and_result_degree():
-    total = pd.add(pd.IntSeries([1, 2, 3, 4]), pd.IntSeries([1, 1]))
+    total = pd.IntSeries([1, 2, 3, 4]) + pd.IntSeries([1, 1])
     assert total.coeffs == (2, 3)
 
 
