@@ -24,7 +24,7 @@ degree = 40
 
 gf = bose_gf(1, degree)
 table = build_table(SpectrumSpec(1), degree)
-print("series coefficients == dynamic-programming counts:",
+print("series coefficients == pentagonal-recurrence counts:",
       gf.coeffs == table.counts)
 print("first coefficients:", gf.coeffs[:10])
 
@@ -47,5 +47,5 @@ print("staircase sum == distinct product:",
 
 # Truncating the staircase sum at N instead gives at-most-N-parts counts.
 print("\nd_3(n) coefficients:", distinct_restricted_gf(3, 12).coeffs)
-print("d_3(n) by direct DP: ",
+print("d_3(n) recurrence:  ",
       build_table(SpectrumSpec(1, distinct=True, max_parts=3), 12).counts)

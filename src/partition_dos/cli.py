@@ -5,7 +5,7 @@ stationary-point densities), compare (exact vs smooth), fluct (residual and
 amplitude-ratio report), audit (exact identity suite), figure (the six
 standard comparison datasets).  Output is CSV (with one #-prefixed metadata
 line) or JSON matching docs/output_schema.json.  Exit codes: 0 success,
-1 identity failure, 2 usage error, 3 resource cap.
+1 identity failure, 2 usage error, 3 resource cap, 4 numeric solver failure.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import sys
 
 from . import __version__, asymptotic, counting, fluctuation, saddle, series
 from .errors import (
+    ConvergenceError,
     DegreeMismatchError,
     DomainError,
     EnumerationOverflowError,
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_IDENTITY = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_NUMERIC = 4
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +84,19 @@ def _meta(command: str, **fields) -> dict:
 
 
 def _energy_grid(args) -> list[float]:
+    bounds = (("--min", args.min), ("--max", args.max), ("--step", args.step))
+    for flag, value in bounds:
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{flag} must be finite, got {value!r}")
     if getattr(args, "energies", None):
         try:
-            return [float(tok) for tok in args.energies.split(",") if tok.strip()]
+            grid = [float(tok) for tok in args.energies.split(",") if tok.strip()]
         except ValueError as exc:
             raise DomainError(f"bad --energies list: {exc}") from exc
+        for e in grid:
+            if not math.isfinite(e):
+                raise DomainError(f"--energies values must be finite, got {e!r}")
+        return grid
     if args.max is None:
         raise DomainError("either --energies or --max is required")
     if args.max < args.min:
@@ -398,6 +408,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except ConvergenceError as exc:  # BracketingError included
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -5,11 +5,18 @@ the counting problem: plain multisets give p^s(n), distinct parts give
 d^s(n), and an optional cap on the number of parts gives the restricted
 variants p_N^s(n) / d_N^s(n) ("at most N parts").  All counts are exact
 Python integers; nothing here ever rounds.
+
+:func:`build_table` counts s = 1 by classical recurrences and every s >= 2
+spec by a knapsack sweep, which also serves as the tests' oracle for the
+recurrences.  The other tables here are second routes to s = 1 counts: each
+docstring names the table it is the oracle for.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator
 
 from .errors import DomainError, EnumerationOverflowError, ResourceLimitError
@@ -70,11 +77,12 @@ class PartitionTable:
 
 
 def build_table(spec: SpectrumSpec, n_max: int) -> PartitionTable:
-    """Count partitions for every n in 0..n_max with one dynamic-programming sweep.
+    """Count partitions for every n in 0..n_max.
 
-    Unbounded specs use a knapsack sweep per part value (unbounded for
-    multisets, 0/1 for distinct parts); a finite part cap adds a second DP
-    dimension tracking the number of parts used.
+    s = 1 specs use the classical recurrences (Andrews, *The Theory of
+    Partitions*, ch. 1-2 and 14): Euler's pentagonal recurrence for p(n),
+    d(n) read off the p table, and the exactly-k recurrences once the number
+    of parts is capped.  Every s >= 2 spec goes through :func:`_knapsack`.
     """
     if not isinstance(n_max, int) or n_max < 0:
         raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
@@ -83,15 +91,14 @@ def build_table(spec: SpectrumSpec, n_max: int) -> PartitionTable:
         raise ResourceLimitError(
             f"n_max={n_max} exceeds the table cap {cap} (override with {MAX_TABLE_ENV})"
         )
-    values = spec.part_values(n_max)
-    if spec.max_parts is None:
-        counts = [0] * (n_max + 1)
-        counts[0] = 1
-        for v in values:
-            _add_part(counts, v, spec.distinct)
+    if spec.s != 1:
+        counts = _knapsack(spec, n_max)
+    elif spec.max_parts is not None:
+        counts = _at_most_parts(spec.max_parts, spec.distinct, n_max)
+    elif spec.distinct:
+        counts = _distinct_from_p(_pentagonal_p(n_max))
     else:
-        by_parts = _counts_by_part_number(values, spec.distinct, spec.max_parts, n_max)
-        counts = [sum(layer[j] for layer in by_parts) for j in range(n_max + 1)]
+        counts = _pentagonal_p(n_max)
     return PartitionTable(spec, tuple(counts))
 
 
@@ -107,19 +114,29 @@ def _add_part(row: list[int], v: int, distinct: bool = False) -> None:
         row[j] += row[j - v]
 
 
-def _counts_by_part_number(
-    values: list[int], distinct: bool, n_parts: int, n_max: int
-) -> list[list[int]]:
-    """dp[k][j] = partitions of j into exactly k parts from `values`.
+def _knapsack(spec: SpectrumSpec, n_max: int) -> list[int]:
+    """Counts for n = 0..n_max by a knapsack sweep over the part values.
 
-    Each value v moves counts from k - 1 parts to k parts.  Taking k downward
-    reads a dp[k - 1] that v has not touched yet, so v is used at most once;
-    taking k upward reads a dp[k - 1] that already holds v, so v may repeat.
-    The j order does not matter because dp[k] and dp[k - 1] are different rows.
+    The route for every s >= 2 spec, and the oracle the tests hold the s = 1
+    recurrences of :func:`build_table` to.  Unbounded specs admit one part
+    value at a time (:func:`_add_part`).  A part cap adds a second dimension,
+    dp[k][j] = partitions of j into exactly k parts, and each value v moves
+    counts from k - 1 parts to k parts.  Taking k downward reads a dp[k - 1]
+    that v has not touched yet, so v is used at most once; taking k upward
+    reads a dp[k - 1] that already holds v, so v may repeat.  The j order
+    does not matter because dp[k] and dp[k - 1] are different rows.
     """
+    values = spec.part_values(n_max)
+    if spec.max_parts is None:
+        counts = [0] * (n_max + 1)
+        counts[0] = 1
+        for v in values:
+            _add_part(counts, v, spec.distinct)
+        return counts
+    n_parts = spec.max_parts
     dp = [[0] * (n_max + 1) for _ in range(n_parts + 1)]
     dp[0][0] = 1
-    ks = range(n_parts, 0, -1) if distinct else range(1, n_parts + 1)
+    ks = range(n_parts, 0, -1) if spec.distinct else range(1, n_parts + 1)
     for v in values:
         for k in ks:
             cur, prev = dp[k], dp[k - 1]
@@ -127,7 +144,80 @@ def _counts_by_part_number(
                 below = prev[j - v]
                 if below:
                     cur[j] += below
-    return dp
+    return [sum(layer[j] for layer in dp) for j in range(n_max + 1)]
+
+
+def _pentagonal_offsets(limit: int) -> tuple[list[int], list[int]]:
+    """Generalized pentagonal numbers k(3k-1)/2 <= limit, k = 1, -1, 2, -2, ...
+
+    Returned in increasing order and split by the sign (-1)^(k+1) they carry
+    in Euler's pentagonal number theorem: (odd k, even k).
+    """
+    odd: list[int] = []
+    even: list[int] = []
+    k = 1
+    while k * (3 * k - 1) // 2 <= limit:
+        bucket = odd if k % 2 else even
+        pair = (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+        bucket.extend(g for g in pair if g <= limit)
+        k += 1
+    return odd, even
+
+
+def _lagged_sum(row: list[int], n: int, offsets: list[int]) -> int:
+    """Sum of row[n - g] over the increasing offsets g <= n."""
+    return sum([row[n - g] for g in offsets[: bisect_right(offsets, n)]])
+
+
+def _pentagonal_p(n_max: int) -> list[int]:
+    """p(n) for n = 0..n_max by Euler's pentagonal recurrence, O(n^1.5) adds.
+
+    prod (1 - x^m) = sum over k in Z of (-1)^k x^(k(3k-1)/2), so
+    p(n) = sum over k != 0 of (-1)^(k+1) p(n - k(3k-1)/2).
+    """
+    odd, even = _pentagonal_offsets(n_max)
+    p = [1]
+    for n in range(1, n_max + 1):
+        p.append(_lagged_sum(p, n, odd) - _lagged_sum(p, n, even))
+    return p
+
+
+def _distinct_from_p(p: list[int]) -> list[int]:
+    """d(n) for n = 0..len(p) - 1 from the table p(0..len(p) - 1).
+
+    prod (1 + x^m) = prod (1 - x^(2m)) / prod (1 - x^m), and the pentagonal
+    theorem expands the numerator, so d(n) = sum over k in Z of
+    (-1)^k p(n - k(3k-1)).
+    """
+    n_max = len(p) - 1
+    odd, even = _pentagonal_offsets(n_max // 2)
+    odd, even = [2 * g for g in odd], [2 * g for g in even]
+    return [
+        p[n] - _lagged_sum(p, n, odd) + _lagged_sum(p, n, even)
+        for n in range(n_max + 1)
+    ]
+
+
+def _at_most_parts(n_parts: int, distinct: bool, n_max: int) -> list[int]:
+    """Partitions of n = 0..n_max into at most n_parts parts, s = 1.
+
+    Summed over the exactly-k rows, k = 0..n_parts, in O(n_parts * n_max) adds.
+    Split by whether the smallest part is 1.  For multisets, dropping that
+    part or taking one from each part gives
+    P(j, k) = P(j - 1, k - 1) + P(j - k, k); for distinct parts, taking one
+    from each part (the 1 vanishes) gives Q(j, k) = Q(j - k, k - 1) + Q(j - k, k).
+    The two differ only in how far back the k - 1 row is read.
+    """
+    prev = [1] + [0] * n_max  # exactly 0 parts
+    total = prev
+    for k in range(1, min(n_parts, n_max) + 1):
+        back = k if distinct else 1
+        row = [0] * (n_max + 1)
+        for j in range(k, n_max + 1):
+            row[j] = prev[j - back] + row[j - k]
+        total = list(map(add, total, row))
+        prev = row
+    return total
 
 
 def count(spec: SpectrumSpec, n: int) -> int:
@@ -192,7 +282,7 @@ def conjugate_restricted_table(n_parts: int, n_max: int) -> list[int]:
     swaps "at most N parts" with "every part <= N", so a single unbounded
     knapsack over the part values 1..N suffices.  s = 1, repeats allowed.
 
-    Kept as the oracle for the part-number DP of
+    Kept as the oracle for the exactly-k recurrence of
     build_table(SpectrumSpec(1, False, n_parts), ...), which the audit
     identities conjugation_N* check it against; it is also the exact count
     behind figure 5.
@@ -212,8 +302,8 @@ def odd_parts_table(n_max: int) -> list[int]:
     """Counts of partitions of n into odd parts, for n = 0..n_max.
 
     By Euler's theorem these equal the distinct-part counts, so this is the
-    oracle for build_table(SpectrumSpec(1, True), ...) in the audit identity
-    euler_odd_equals_distinct.
+    oracle for the pentagonal route to d(n) in build_table(SpectrumSpec(1,
+    True), ...), in the audit identity euler_odd_equals_distinct.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max!r}")
@@ -234,7 +324,7 @@ def distinct_restricted_table(n_parts: int, n_max: int) -> list[int]:
 
     where p_i is the at-most-i-parts count and the i = 0 term is the empty
     partition at n = 0.  This touches only plain restricted counts, which
-    makes it the oracle for the part-number DP of
+    makes it the oracle for the distinct exactly-k recurrence of
     build_table(SpectrumSpec(1, True, n_parts), ...) in the audit identities
     staircase_decomposition_N*; it is also the exact count behind figure 6.
     """

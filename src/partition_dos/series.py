@@ -238,10 +238,12 @@ def identities(degree: int):
 
     lhs and rhs are coefficient sequences of length degree + 1 that agree
     term by term when the identity holds.  Each pairs a fast route with an
-    independent one: generating functions against the knapsack tables, the
-    staircase decomposition, Young-diagram conjugation, and Euler's
-    distinct = odd parts in table and product form.  The names and their
-    order are the output contract of the `audit` command.
+    independent one: generating functions against the build_table counts
+    (pentagonal recurrences for s = 1, the knapsack for s = 2), the
+    staircase decomposition and Young-diagram conjugation against the
+    exactly-k recurrences, and Euler's distinct = odd parts in table and
+    product form.  The names and their order are the output contract of
+    the `audit` command.
     """
 
     def table(s: int, distinct: bool, n_parts: int | None = None) -> tuple[int, ...]:

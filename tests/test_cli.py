@@ -189,3 +189,29 @@ def test_resource_cap_exit_code(capsys, monkeypatch):
 def test_version_flag(capsys):
     assert cli.main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == pd.__version__
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asym", "--energies", "nan"],
+        ["asym", "--energies", "inf"],
+        ["saddle", "--energies", "inf"],
+        ["saddle", "--energies", "1e400"],
+        ["asym", "--max", "nan"],
+        ["asym", "--max", "10", "--step", "nan"],
+        ["asym", "--max", "inf"],
+    ],
+)
+def test_non_finite_energies_are_usage_errors(capsys, argv):
+    code, out = run(capsys, argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+
+
+def test_solver_failure_exit_code(capsys):
+    code = cli.main(["saddle", "--s", "0.001", "--energies", "100"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NUMERIC == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

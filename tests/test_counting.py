@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partition_dos as pd
+from partition_dos import counting
 from partition_dos.errors import (
     DomainError,
     EnumerationOverflowError,
@@ -190,3 +191,35 @@ def test_staircase_identity_random_spots(n_parts, n):
     assert pd.distinct_restricted_table(n_parts, n)[n] == pd.count(
         pd.SpectrumSpec(1, True, n_parts), n
     )
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 100, 601])
+def test_s1_recurrences_match_knapsack(distinct, n):
+    for parts in (None, 1, 2, 3, 5, 17, 30, n + 1):
+        spec = pd.SpectrumSpec(1, distinct, parts)
+        assert pd.build_table(spec, n).counts == tuple(counting._knapsack(spec, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    distinct=st.booleans(),
+    parts=st.one_of(st.none(), st.integers(1, 40)),
+    n=st.integers(0, 400),
+)
+def test_s1_recurrences_match_knapsack_property(distinct, parts, n):
+    spec = pd.SpectrumSpec(1, distinct, parts)
+    assert pd.build_table(spec, n).counts == tuple(counting._knapsack(spec, n))
+
+
+@pytest.mark.parametrize(
+    "spec,n,expected",
+    [
+        (pd.SpectrumSpec(1), 1000, 24061467864032622473692149727991),
+        (pd.SpectrumSpec(1, True), 1000, 8635565795744155161506),
+        (pd.SpectrumSpec(1, False, 30), 2000, 5209254866167212168496642874116802),
+        (pd.SpectrumSpec(1, True, 30), 2000, 13422980722847645462954865675247),
+    ],
+)
+def test_pinned_s1_counts(spec, n, expected):
+    assert pd.count(spec, n) == expected
