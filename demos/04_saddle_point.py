@@ -8,7 +8,9 @@ stationary point beta0 by a Gaussian:
     rho(E) ~= exp(S(beta0)) / sqrt(2 pi S''(beta0)).
 
 Here ln Z and its derivatives come from direct summation over the level
-values m**s, so the stationary point is found on the full entropy.
+values m**s, so the stationary point is found on the full entropy.  The
+last three columns are the solver's diagnostics: beta values tried by the
+bracketing sweep, refinement steps, and levels in the final sum.
 
 Run: python demos/04_saddle_point.py
 """
@@ -25,7 +27,8 @@ from partition_dos import (
     single_particle_dos_s2,
 )
 
-print(f"{'case':>12} {'E':>6} {'beta0':>9} {'numeric':>13} {'closed form':>13} {'gap':>8}")
+print(f"{'case':>12} {'E':>6} {'beta0':>9} {'numeric':>13} {'closed form':>13} {'gap':>8}"
+      f" {'bracket':>7} {'iter':>4} {'levels':>6}")
 for stats in (BOSE, FERMI):
     for s in (1, 2):
         spec = ThermoSpec(s, stats)
@@ -35,7 +38,8 @@ for stats in (BOSE, FERMI):
             closed = rho_unrestricted(model, e)
             print(f"{stats + ' s=' + str(s):>12} {e:>6.0f} {res.beta0:>9.5f}"
                   f" {res.density:>13.5e} {closed:>13.5e}"
-                  f" {res.density/closed - 1:>+8.2%}")
+                  f" {res.density/closed - 1:>+8.2%}"
+                  f" {res.bracket_steps:>7} {res.iterations:>4} {res.level_terms:>6}")
 
 # The numeric route keeps every entropy term, so where the closed form is
 # least accurate (squares at moderate E) the numeric density is the better

@@ -80,9 +80,9 @@ def build_table(spec: SpectrumSpec, n_max: int) -> PartitionTable:
     """Count partitions for every n in 0..n_max.
 
     s = 1 specs use the classical recurrences (Andrews, *The Theory of
-    Partitions*, ch. 1-2 and 14): Euler's pentagonal recurrence for p(n),
-    d(n) read off the p table, and the exactly-k recurrences once the number
-    of parts is capped.  Every s >= 2 spec goes through :func:`_knapsack`.
+    Partitions*, ch. 1-2 and 14): Euler's pentagonal recurrence for p(n) and
+    its variant for d(n), and the exactly-k recurrences once the number of
+    parts is capped.  Every s >= 2 spec goes through :func:`_knapsack`.
     """
     if not isinstance(n_max, int) or n_max < 0:
         raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
@@ -95,10 +95,8 @@ def build_table(spec: SpectrumSpec, n_max: int) -> PartitionTable:
         counts = _knapsack(spec, n_max)
     elif spec.max_parts is not None:
         counts = _at_most_parts(spec.max_parts, spec.distinct, n_max)
-    elif spec.distinct:
-        counts = _distinct_from_p(_pentagonal_p(n_max))
     else:
-        counts = _pentagonal_p(n_max)
+        counts = _pentagonal(n_max, spec.distinct)
     return PartitionTable(spec, tuple(counts))
 
 
@@ -169,33 +167,26 @@ def _lagged_sum(row: list[int], n: int, offsets: list[int]) -> int:
     return sum([row[n - g] for g in offsets[: bisect_right(offsets, n)]])
 
 
-def _pentagonal_p(n_max: int) -> list[int]:
-    """p(n) for n = 0..n_max by Euler's pentagonal recurrence, O(n^1.5) adds.
+def _pentagonal(n_max: int, distinct: bool = False) -> list[int]:
+    """p(n), or d(n) if distinct, for n = 0..n_max by Euler's pentagonal
+    recurrence, O(n^1.5) adds.
 
     prod (1 - x^m) = sum over k in Z of (-1)^k x^(k(3k-1)/2), so
-    p(n) = sum over k != 0 of (-1)^(k+1) p(n - k(3k-1)/2).
+    p(n) = sum over k != 0 of (-1)^(k+1) p(n - k(3k-1)/2).  Since
+    prod (1 + x^m) * prod (1 - x^m) = prod (1 - x^(2m)), d(n) obeys the same
+    recurrence plus a source term: (-1)^j when n = j(3j-1) for some j in Z.
     """
     odd, even = _pentagonal_offsets(n_max)
-    p = [1]
+    source: dict[int, int] = {}
+    if distinct:
+        half_odd, half_even = _pentagonal_offsets(n_max // 2)
+        source = {2 * g: -1 for g in half_odd} | {2 * g: 1 for g in half_even}
+    row = [1]
     for n in range(1, n_max + 1):
-        p.append(_lagged_sum(p, n, odd) - _lagged_sum(p, n, even))
-    return p
-
-
-def _distinct_from_p(p: list[int]) -> list[int]:
-    """d(n) for n = 0..len(p) - 1 from the table p(0..len(p) - 1).
-
-    prod (1 + x^m) = prod (1 - x^(2m)) / prod (1 - x^m), and the pentagonal
-    theorem expands the numerator, so d(n) = sum over k in Z of
-    (-1)^k p(n - k(3k-1)).
-    """
-    n_max = len(p) - 1
-    odd, even = _pentagonal_offsets(n_max // 2)
-    odd, even = [2 * g for g in odd], [2 * g for g in even]
-    return [
-        p[n] - _lagged_sum(p, n, odd) + _lagged_sum(p, n, even)
-        for n in range(n_max + 1)
-    ]
+        row.append(
+            _lagged_sum(row, n, odd) - _lagged_sum(row, n, even) + source.get(n, 0)
+        )
+    return row
 
 
 def _at_most_parts(n_parts: int, distinct: bool, n_max: int) -> list[int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .asymptotic import FERMI, BOSE, AsymptoticModel, rho_unrestricted
 from .counting import PartitionTable
@@ -39,13 +40,12 @@ def smooth_curve(model: AsymptoticModel, n_values) -> np.ndarray:
     return np.array([rho_unrestricted(model, float(n)) for n in n_values])
 
 
-def residuals(table: PartitionTable, model: AsymptoticModel, n_min: int = 1) -> np.ndarray:
-    """exact(n) - smooth(n) for n = n_min .. n_max, as floats.
+def _exact_floats(table: PartitionTable, n_min: int) -> np.ndarray:
+    """The counts for n = n_min .. n_max as floats, after the range checks.
 
     Counts above 2**53 would not survive the float conversion at integer
     precision, so they raise instead of silently degrading.
     """
-    _check_match(table, model)
     if n_min < 1 or n_min > table.n_max:
         raise DomainError(f"n_min must lie in 1..{table.n_max}, got {n_min!r}")
     out = np.empty(table.n_max - n_min + 1)
@@ -55,8 +55,19 @@ def residuals(table: PartitionTable, model: AsymptoticModel, n_min: int = 1) -> 
             raise PrecisionLossError(
                 f"count at n={n} exceeds 2**53; residuals would lose integer precision"
             )
-        out[idx] = float(c) - rho_unrestricted(model, float(n))
+        out[idx] = float(c)
     return out
+
+
+def residuals(table: PartitionTable, model: AsymptoticModel, n_min: int = 1) -> np.ndarray:
+    """exact(n) - smooth(n) for n = n_min .. n_max, as floats.
+
+    Counts above 2**53 raise PrecisionLossError (see :func:`_exact_floats`).
+    """
+    _check_match(table, model)
+    res = _exact_floats(table, n_min)
+    res -= smooth_curve(model, range(n_min, table.n_max + 1))
+    return res
 
 
 def amplitude_ratio(residual, smooth, window: int) -> np.ndarray:
@@ -64,7 +75,9 @@ def amplitude_ratio(residual, smooth, window: int) -> np.ndarray:
 
     Each output r[i] is max|residual| over a length-`window` slice divided
     by the mean of `smooth` over the same slice; the output is shorter than
-    the input by window - 1 (the window edges).
+    the input by window - 1 (the window edges).  Both reductions run over
+    strided window views, with |residual| taken before the view so that no
+    (len - window + 1) x window array is built.
     """
     residual = np.asarray(residual, dtype=float)
     smooth = np.asarray(smooth, dtype=float)
@@ -76,11 +89,8 @@ def amplitude_ratio(residual, smooth, window: int) -> np.ndarray:
         raise DomainError(
             f"window {window} larger than sequence of length {residual.size}"
         )
-    n_out = residual.size - window + 1
-    out = np.empty(n_out)
-    for i in range(n_out):
-        out[i] = np.abs(residual[i : i + window]).max() / smooth[i : i + window].mean()
-    return out
+    peaks = sliding_window_view(np.abs(residual), window).max(axis=1)
+    return peaks / sliding_window_view(smooth, window).mean(axis=1)
 
 
 def beat_spectrum(residual, smooth=None) -> list[tuple[float, float]]:
@@ -132,10 +142,16 @@ def analyze(
     n_min: int = 1,
     spectrum: bool = False,
 ) -> FluctuationReport:
-    """Full residual/ratio pass over a table, with optional spectral peaks."""
+    """Full residual/ratio pass over a table, with optional spectral peaks.
+
+    The smooth curve is evaluated once and serves both the residuals and
+    the ratios.
+    """
+    _check_match(table, model)
+    res = _exact_floats(table, n_min)
     n_grid = np.arange(n_min, table.n_max + 1)
-    res = residuals(table, model, n_min)
     smooth = smooth_curve(model, n_grid)
+    res -= smooth
     ratio = amplitude_ratio(res, smooth, window)
     summary = {
         "first_ratio": float(ratio[0]),

@@ -5,9 +5,12 @@ and apply the Gaussian (second-order) approximation
     rho(E) = exp(S(beta0)) / sqrt(2 pi S''(beta0)).
 
 No closed-form expansion enters: derivatives are exact term-wise sums.
-The module also carries the exact resummation of the s = 2 single-particle
-level density into smooth plus oscillating parts, and the corresponding
-oscillatory entropy whose double sum drives the distinct-square beats.
+Each level sum is one numpy pass over the levels inside the cutoff, in
+chunks of at most 2**13 levels; the scalar loop it replaced stays in the
+tests as its oracle.  The module also carries the exact resummation of the
+s = 2 single-particle level density into smooth plus oscillating parts, and
+the corresponding oscillatory entropy whose double sum drives the
+distinct-square beats.
 """
 
 from __future__ import annotations
@@ -15,12 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .asymptotic import BOSE, FERMI, eta, zeta
 from .errors import BracketingError, ConvergenceError, DomainError
 
 # exp(-37) < 1e-16: once beta * m**s passes this, further terms are dust.
 _TERM_CUTOFF = 37.0
 _MAX_TERMS = 5_000_000
+# Levels per numpy pass of the level sum.  Keeps each temporary at 64 KiB:
+# passes of 2**16 levels ran slower and added ~3 MB to peak memory.
+_CHUNK = 1 << 13
 
 _BRACKET_LO = 1e-6
 _BRACKET_HI = 1e3
@@ -57,50 +65,88 @@ class ThermoSpec:
 
 @dataclass(frozen=True)
 class SaddleResult:
-    """Stationary point and the Gaussian-approximation density built from it."""
+    """Stationary point and the Gaussian-approximation density built from it.
+
+    Solver diagnostics: bracket_steps counts the beta values the bracketing
+    sweep evaluated, iterations the level sums of the refinement, and
+    level_terms the levels summed in the final evaluation.
+    """
 
     beta0: float
     entropy: float
     curvature: float
     density: float
     residual: float
+    bracket_steps: int
+    iterations: int
+    level_terms: int
 
 
-def _sum_terms(spec: ThermoSpec, beta: float) -> tuple[float, float, float]:
-    """(ln Z, d ln Z/d beta, d2 ln Z/d beta2) by direct summation over levels.
+def _level_count(spec: ThermoSpec, beta: float) -> int:
+    """Number of levels m = 1, 2, ... with beta * m**s <= _TERM_CUTOFF.
 
-    Terms are added until they drop below 1e-16 in magnitude (or the level
-    cap for finite max_parts).  Raises ConvergenceError if that would take
-    more than a few million terms, which only happens for tiny beta.
+    Capped at max_parts.  Raises ConvergenceError when _MAX_TERMS or more
+    levels would be summed.  The bound (cutoff / beta)**(1/s) is estimated
+    in logs, so it cannot overflow for tiny s or beta, and then settled by
+    the same scalar test `beta * float(m)**s <= _TERM_CUTOFF` on the levels
+    next to it.
     """
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta!r}")
-    bose = spec.statistics == BOSE
-    s = spec.s
-    m_cap = spec.max_parts
-    lnz = dlnz = d2lnz = 0.0
-    m = 1
-    while m_cap is None or m <= m_cap:
-        level = float(m) ** s
-        t = beta * level
-        if t > _TERM_CUTOFF:
-            break
-        if bose:
-            em = math.expm1(t)  # e^t - 1, accurate for small t
-            lnz -= math.log1p(-math.exp(-t))
-            dlnz -= level / em
-            d2lnz += level * level * (1.0 + 1.0 / em) / em
-        else:
-            ex = math.exp(-t)
-            lnz += math.log1p(ex)
-            dlnz -= level * ex / (1.0 + ex)
-            d2lnz += level * level * ex / (1.0 + ex) ** 2
+    limit = _MAX_TERMS if spec.max_parts is None else min(spec.max_parts, _MAX_TERMS)
+    log_bound = (math.log(_TERM_CUTOFF) - math.log(beta)) / spec.s
+    m = min(int(math.exp(min(log_bound, math.log(limit) + 1.0))), limit)
+
+    def inside(k: int) -> bool:
+        try:
+            return beta * float(k) ** spec.s <= _TERM_CUTOFF
+        except OverflowError:  # k**s beyond the float range: far outside
+            return False
+
+    while m > 0 and not inside(m):
+        m -= 1
+    while m < limit and inside(m + 1):
         m += 1
-        if m > _MAX_TERMS:
-            raise ConvergenceError(
-                f"level sum at beta={beta} needs more than {_MAX_TERMS} terms"
-            )
-    return lnz, dlnz, d2lnz
+    if m >= _MAX_TERMS:
+        raise ConvergenceError(
+            f"level sum at beta={beta} needs more than {_MAX_TERMS} terms"
+        )
+    return m
+
+
+def _sum_terms(spec: ThermoSpec, beta: float) -> tuple[float, float, float, int]:
+    """(ln Z, d ln Z/d beta, d2 ln Z/d beta2, levels summed) at beta.
+
+    The levels are those with beta * m**s <= _TERM_CUTOFF, where the terms
+    are still above 1e-16 (and m <= max_parts); they are summed with numpy
+    in chunks of at most _CHUNK levels.  Raises ConvergenceError if that
+    would take _MAX_TERMS levels or more, which only happens for tiny beta,
+    or if the bose sum loses its first term: for beta below ~1.1e-16 the
+    float 1 - exp(-beta) is zero.
+    """
+    if not beta > 0:
+        raise DomainError(f"beta must be positive, got {beta!r}")
+    if beta > _TERM_CUTOFF:
+        return 0.0, 0.0, 0.0, 0
+    bose = spec.statistics == BOSE
+    n_levels = _level_count(spec, beta)
+    if bose and math.exp(-beta) == 1.0:
+        raise ConvergenceError(
+            f"level sum at beta={beta} diverges in floats: exp(-beta) rounds to 1"
+        )
+    lnz = dlnz = d2lnz = 0.0
+    for start in range(1, n_levels + 1, _CHUNK):
+        level = np.arange(start, min(start + _CHUNK, n_levels + 1), dtype=float) ** spec.s
+        t = beta * level
+        if bose:
+            em = np.expm1(t)  # e^t - 1, accurate for small t
+            lnz -= float(np.log1p(-np.exp(-t)).sum())
+            dlnz -= float((level / em).sum())
+            d2lnz += float((level * level * (1.0 + 1.0 / em) / em).sum())
+        else:
+            ex = np.exp(-t)
+            lnz += float(np.log1p(ex).sum())
+            dlnz -= float((level * ex / (1.0 + ex)).sum())
+            d2lnz += float((level * level * ex / (1.0 + ex) ** 2).sum())
+    return lnz, dlnz, d2lnz, n_levels
 
 
 def log_z(spec: ThermoSpec, beta: float) -> float:
@@ -127,7 +173,9 @@ def find_saddle(spec: ThermoSpec, E: float, tol_scale: float = 1e-9) -> SaddleRe
     hi = None
     lo = None
     beta = _BRACKET_HI
+    bracket_steps = 0
     while beta >= _BRACKET_LO * (1.0 - 1e-12):
+        bracket_steps += 1
         slope = E + _sum_terms(spec, beta)[1]
         if slope > 0:
             hi = beta
@@ -143,8 +191,8 @@ def find_saddle(spec: ThermoSpec, E: float, tol_scale: float = 1e-9) -> SaddleRe
     x = math.sqrt(lo * hi)
     lnz = dlnz = d2lnz = 0.0
     slope = math.inf
-    for _ in range(100):
-        lnz, dlnz, d2lnz = _sum_terms(spec, x)
+    for iterations in range(1, 101):
+        lnz, dlnz, d2lnz, level_terms = _sum_terms(spec, x)
         slope = E + dlnz
         if abs(slope) <= tol:
             break
@@ -162,7 +210,14 @@ def find_saddle(spec: ThermoSpec, E: float, tol_scale: float = 1e-9) -> SaddleRe
     s0 = x * E + lnz
     density = math.exp(s0) / math.sqrt(2.0 * math.pi * d2lnz)
     return SaddleResult(
-        beta0=x, entropy=s0, curvature=d2lnz, density=density, residual=abs(slope)
+        beta0=x,
+        entropy=s0,
+        curvature=d2lnz,
+        density=density,
+        residual=abs(slope),
+        bracket_steps=bracket_steps,
+        iterations=iterations,
+        level_terms=level_terms,
     )
 
 

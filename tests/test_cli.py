@@ -215,3 +215,12 @@ def test_solver_failure_exit_code(capsys):
     assert code == cli.EXIT_NUMERIC == 4
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("s", ["0.0001", "0.001"])
+def test_tiny_exponent_solver_failure(capsys, s):
+    code = cli.main(["saddle", "--s", s, "--energies", "100"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NUMERIC
+    assert captured.out == ""
+    assert captured.err == "error: level sum at beta=31.25 needs more than 5000000 terms\n"

@@ -65,6 +65,36 @@ def test_amplitude_ratio_validation():
         pd.amplitude_ratio(np.zeros(10), np.ones(9), 3)
 
 
+def _loop_ratio(residual, smooth, window):
+    """Oracle for amplitude_ratio: one slice per window, as it was computed before."""
+    out = np.empty(residual.size - window + 1)
+    for i in range(out.size):
+        out[i] = np.abs(residual[i : i + window]).max() / smooth[i : i + window].mean()
+    return out
+
+
+def test_amplitude_ratio_matches_loop_oracle():
+    table = pd.build_table(pd.SpectrumSpec(2, True), 600)
+    model = pd.make_model(2, pd.FERMI)
+    res = pd.residuals(table, model)
+    smooth = pd.smooth_curve(model, range(1, 601))
+    rng = np.random.default_rng(5)
+    noise, level = rng.normal(size=300), rng.uniform(1.0, 1e6, size=300)
+    for r, sm in ((res, smooth), (noise, level)):
+        for window in (3, 50, r.size):
+            assert np.array_equal(pd.amplitude_ratio(r, sm, window), _loop_ratio(r, sm, window))
+
+
+def test_analyze_residual_is_counts_minus_smooth():
+    table = pd.build_table(pd.SpectrumSpec(2, True), 500)
+    model = pd.make_model(2, pd.FERMI)
+    rep = pd.analyze(table, model, n_min=20)
+    exact = np.array([float(c) for c in table.counts[20:]])
+    assert np.array_equal(rep.residual, exact - rep.smooth)
+    assert np.array_equal(rep.smooth, pd.smooth_curve(model, range(20, 501)))
+    assert np.array_equal(rep.residual, pd.residuals(table, model, n_min=20))
+
+
 def test_s1_ratios_stay_small():
     # The smooth formulas track the exact s=1 counts closely; the window
     # metric inflates with the growth of the counts, hence the measured caps.

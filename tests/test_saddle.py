@@ -1,6 +1,9 @@
 import math
+import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import partition_dos as pd
 import partition_dos.saddle as saddle_mod
@@ -70,6 +73,133 @@ def test_term_cap_raises(monkeypatch):
     monkeypatch.setattr(saddle_mod, "_MAX_TERMS", 1000)
     with pytest.raises(ConvergenceError):
         pd.log_z(pd.ThermoSpec(1, pd.BOSE), 1e-3)
+
+
+def _loop_sums(spec, beta):
+    """Oracle for saddle._sum_terms: the scalar level loop it replaced.
+
+    Adds one level at a time until beta * m**s passes the cutoff (or the
+    max_parts cap), raising ConvergenceError once _MAX_TERMS levels are in.
+    Returns (ln Z, d ln Z/d beta, d2 ln Z/d beta2, levels summed).
+    """
+    bose = spec.statistics == pd.BOSE
+    lnz = dlnz = d2lnz = 0.0
+    m = 1
+    while spec.max_parts is None or m <= spec.max_parts:
+        level = float(m) ** spec.s
+        t = beta * level
+        if t > saddle_mod._TERM_CUTOFF:
+            break
+        if bose:
+            em = math.expm1(t)
+            lnz -= math.log1p(-math.exp(-t))
+            dlnz -= level / em
+            d2lnz += level * level * (1.0 + 1.0 / em) / em
+        else:
+            ex = math.exp(-t)
+            lnz += math.log1p(ex)
+            dlnz -= level * ex / (1.0 + ex)
+            d2lnz += level * level * ex / (1.0 + ex) ** 2
+        m += 1
+        if m > saddle_mod._MAX_TERMS:
+            raise ConvergenceError("too many terms")
+    return lnz, dlnz, d2lnz, m - 1
+
+
+def _assert_sums_match(spec, beta):
+    got = saddle_mod._sum_terms(spec, beta)
+    want = _loop_sums(spec, beta)
+    assert got[3] == want[3], (spec, beta)
+    for g, w in zip(got[:3], want[:3]):
+        assert abs(g - w) <= 1e-12 * abs(w), (spec, beta, g, w)
+
+
+@pytest.mark.parametrize("s", [0.5, 1, 2, 3])
+@pytest.mark.parametrize("stats", [pd.BOSE, pd.FERMI])
+def test_level_sums_match_loop_oracle(s, stats):
+    spec = pd.ThermoSpec(s, stats)
+    for beta in (1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 36.9, 37.0, 40.0, 1e3):
+        if (37.0 / beta) ** (1.0 / s) > 2 * saddle_mod._MAX_TERMS:
+            # s = 0.5 below beta ~0.012: the loop would run 5e6 levels to fail.
+            with pytest.raises(ConvergenceError):
+                saddle_mod._sum_terms(spec, beta)
+            continue
+        _assert_sums_match(spec, beta)
+    assert saddle_mod._sum_terms(spec, 40.0) == (0.0, 0.0, 0.0, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.floats(0.3, 4.0),
+    stats=st.sampled_from([pd.BOSE, pd.FERMI]),
+    beta=st.floats(1e-3, 40.0),
+)
+def test_level_sums_match_loop_oracle_property(s, stats, beta):
+    # Any exponent: the level set must end exactly where the loop's test does.
+    assume((37.0 / beta) ** (1.0 / s) < 2e5)
+    _assert_sums_match(pd.ThermoSpec(s, stats), beta)
+
+
+@pytest.mark.parametrize("n_parts", [1, 12, 30])
+def test_capped_level_sums_match_loop_oracle(n_parts):
+    spec = pd.ThermoSpec(1, pd.BOSE, n_parts)
+    for beta in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 2.0, 5.0, 36.9, 37.0, 40.0):
+        _assert_sums_match(spec, beta)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_term_cap_boundary(monkeypatch, s):
+    k = 200
+    monkeypatch.setattr(saddle_mod, "_MAX_TERMS", k)
+    spec = pd.ThermoSpec(s, pd.BOSE)
+    below = 37.0 / (k - 0.5) ** s  # levels 1 .. k-1 inside the cutoff
+    at = 37.0 / (k + 0.5) ** s  # levels 1 .. k
+    assert saddle_mod._sum_terms(spec, below)[3] == k - 1
+    _assert_sums_match(spec, below)
+    for route in (saddle_mod._sum_terms, _loop_sums):
+        with pytest.raises(ConvergenceError):
+            route(spec, at)
+    # The max_parts cap counts the same way: k - 1 levels pass, k raise.
+    assert saddle_mod._sum_terms(pd.ThermoSpec(1, pd.BOSE, k - 1), 1e-6)[3] == k - 1
+    for route in (saddle_mod._sum_terms, _loop_sums):
+        with pytest.raises(ConvergenceError):
+            route(pd.ThermoSpec(1, pd.BOSE, k), 1e-6)
+
+
+@pytest.mark.parametrize("beta", [1e-17, 5e-324])
+def test_level_sum_below_float_resolution_is_typed(beta):
+    # 1 - exp(-beta) rounds to 0: the first bose term is -log(0).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            pd.log_z(pd.ThermoSpec(1, pd.BOSE, 10), beta)
+
+
+@pytest.mark.parametrize("s", [1e-4, 1e-3, 1e-300])
+def test_tiny_exponent_fails_before_summing(monkeypatch, s):
+    # (37 / beta)**(1/s) overflows a float here; the level count must not.
+    monkeypatch.setattr(saddle_mod, "np", None)  # any level sum would fail
+    with pytest.raises(ConvergenceError, match="needs more than 5000000 terms"):
+        pd.find_saddle(pd.ThermoSpec(s, pd.BOSE), 100.0)
+
+
+def test_huge_exponent_keeps_one_level():
+    # 2.0**2000 overflows a float; only the level m = 1 lies inside the
+    # cutoff, and one bose level puts the saddle at beta0 = log(1 + 1/E).
+    res = pd.find_saddle(pd.ThermoSpec(2000, pd.BOSE), 100.0)
+    assert res.level_terms == 1
+    assert res.beta0 == pytest.approx(math.log1p(1 / 100.0), rel=1e-9)
+
+
+def test_saddle_diagnostics():
+    res = pd.find_saddle(pd.ThermoSpec(1, pd.BOSE), 100.0)
+    # The sweep halves beta from 1e3 down to the first negative slope.
+    assert res.bracket_steps == 1 + math.ceil(math.log2(1e3 / res.beta0))
+    assert 1 <= res.iterations <= 100
+    assert res.level_terms == saddle_mod._sum_terms(pd.ThermoSpec(1, pd.BOSE), res.beta0)[3]
+    assert res.level_terms == math.floor(37.0 / res.beta0)
+    capped = pd.find_saddle(pd.ThermoSpec(1, pd.BOSE, 20), 30.0)
+    assert capped.level_terms == 20
 
 
 def test_saddle_location_near_closed_form():
