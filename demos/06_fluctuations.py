@@ -12,10 +12,12 @@ Run: python demos/06_fluctuations.py
 from partition_dos import (
     FERMI,
     SpectrumSpec,
+    ThermoSpec,
     analyze,
     beat_spectrum,
     build_table,
     entropy_poisson_s2,
+    find_saddle,
     make_model,
 )
 
@@ -36,9 +38,12 @@ for freq, power in peaks[:6]:
     print(f"  frequency {freq:.4f} cycles per unit n, power {power:.3g}")
 print("two or more strong, separated components: that is the beat.")
 
-# The oscillatory entropy behind these swings: a double sum that is
-# frozen out at small beta and switches on as beta grows.
-print("\noscillatory entropy share at E=1000:")
-for beta in (0.05, 0.5, 2.0):
+# A negative result: the Poisson-resummed oscillatory entropy is far too
+# small to drive these swings.  At the saddle of E=1000 it is exactly zero,
+# and it stays below 1e-4 up to beta=0.05, ten times the saddle value.
+# Saddles at roots of unity (complex beta) are the candidate explanation.
+beta0 = find_saddle(ThermoSpec(2, FERMI), 1000.0).beta0
+print("\noscillatory entropy at E=1000 (too small to explain the beat):")
+for beta in (beta0, 0.05, 0.5, 2.0):
     pe = entropy_poisson_s2(1000.0, beta, q_max=30, l_max=30)
-    print(f"  beta={beta:4.2f}: smooth={pe.smooth:10.3f} oscillatory={pe.oscillatory:+.3e}")
+    print(f"  beta={beta:<7.3g}: smooth={pe.smooth:10.3f} oscillatory={pe.oscillatory:+.3e}")

@@ -142,13 +142,9 @@ def rho_unrestricted(model: AsymptoticModel, E: float) -> float:
     )
 
 
-def bose_density_s1(E: float, rademacher_shift: bool = False) -> float:
+def bose_density_s1(E: float) -> float:
     """exp(pi sqrt(2E/3)) / (4 sqrt(3) E): the classical smooth p(n) curve."""
-    if rademacher_shift:
-        if E <= 1.0 / 24.0:
-            raise DomainError(f"E must exceed 1/24 with the shift active, got {E!r}")
-        E = E - 1.0 / 24.0
-    elif E <= 0:
+    if E <= 0:
         raise DomainError(f"E must be positive, got {E!r}")
     return math.exp(math.pi * math.sqrt(2.0 * E / 3.0)) / (4.0 * math.sqrt(3.0) * E)
 
@@ -206,19 +202,14 @@ class RestrictedDensity:
 
 
 def rho_restricted_bose(
-    E: float,
-    n_parts: int,
-    keep_half_term: bool = True,
-    rademacher_shift: bool = False,
+    E: float, n_parts: int, keep_half_term: bool = True
 ) -> RestrictedDensity:
     """Smooth at-most-N-parts density for s = 1 (unrestricted curve times
     the Erdos-Lehner factor).  The flag marks C(1) < E < C(1) N**2; outside
     that window the value is still returned but is not meaningful.
     """
     lo, hi = validity_region(n_parts)
-    value = bose_density_s1(E, rademacher_shift) * erdos_lehner_factor(
-        E, n_parts, keep_half_term
-    )
+    value = bose_density_s1(E) * erdos_lehner_factor(E, n_parts, keep_half_term)
     return RestrictedDensity(value, lo < E < hi)
 
 

@@ -11,20 +11,13 @@ line) or JSON matching docs/output_schema.json.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
 from . import __version__, asymptotic, counting, fluctuation, saddle, series
-from .errors import (
-    ConvergenceError,
-    DegreeMismatchError,
-    DomainError,
-    EnumerationOverflowError,
-    PrecisionLossError,
-    ResourceLimitError,
-    SpecMismatchError,
-)
+from .errors import ConvergenceError, DomainError, PrecisionLossError, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -52,7 +45,6 @@ def _json_cell(value):
 
 
 def write_dataset(meta: dict, columns: list[str], rows: list[tuple], args) -> None:
-    text_rows = None
     if args.format == "csv":
         lines = ["# " + " ".join(f"{k}={v}" for k, v in meta.items())]
         lines.append(",".join(columns))
@@ -88,7 +80,7 @@ def _energy_grid(args) -> list[float]:
     for flag, value in bounds:
         if value is not None and not math.isfinite(value):
             raise DomainError(f"{flag} must be finite, got {value!r}")
-    if getattr(args, "energies", None):
+    if args.energies:
         try:
             grid = [float(tok) for tok in args.energies.split(",") if tok.strip()]
         except ValueError as exc:
@@ -307,6 +299,7 @@ def _add_io_options(sp) -> None:
     sp.add_argument("--output", default="-", help="output path, or - for stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="partition-dos",
@@ -396,13 +389,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        DomainError,
-        SpecMismatchError,
-        DegreeMismatchError,
-        EnumerationOverflowError,
-        PrecisionLossError,
-    ) as exc:
+    except (DomainError, PrecisionLossError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:

@@ -2,10 +2,13 @@
 
 Caps exist so that a mistyped command-line argument cannot ask for a
 multi-gigabyte table; they are read at call time so tests and callers can
-adjust them per process.
+adjust them per process.  A set value that is not a nonnegative integer
+raises DomainError rather than falling back to the default.
 """
 
 import os
+
+from .errors import DomainError
 
 MAX_TABLE_ENV = "PARTITION_DOS_MAX_N"
 MAX_DEGREE_ENV = "PARTITION_DOS_MAX_DEGREE"
@@ -21,8 +24,10 @@ def _read(env_name: str, default: int) -> int:
     try:
         value = int(raw)
     except ValueError:
-        return default
-    return value if value >= 0 else default
+        value = None
+    if value is None or value < 0:
+        raise DomainError(f"{env_name} must be a nonnegative integer, got {raw!r}")
+    return value
 
 
 def max_table_size() -> int:

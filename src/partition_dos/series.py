@@ -188,20 +188,14 @@ def distinct_restricted_gf(n_parts: int, degree: int) -> IntSeries:
     if not isinstance(n_parts, int) or n_parts < 1:
         raise DomainError(f"n_parts must be a positive integer, got {n_parts!r}")
     _check_degree(degree)
-    out = [0] * (degree + 1)
-    out[0] = 1
-    prod = IntSeries([1], degree)
+    out = prod = IntSeries([1], degree)
     for i in range(1, n_parts + 1):
         tri = i * (i + 1) // 2
         if tri > degree:
             break
         prod = prod * geometric_factor(i, degree)
-        pc = prod.coeffs
-        for n in range(degree + 1 - tri):
-            c = pc[n]
-            if c:
-                out[tri + n] += c
-    return IntSeries(out)
+        out = out + prod.shifted(tri)
+    return out
 
 
 @dataclass(frozen=True)
@@ -250,8 +244,9 @@ def identities(degree: int):
         spec = counting.SpectrumSpec(s, distinct, n_parts)
         return counting.build_table(spec, degree).counts
 
+    unbounded = {}
     for s, distinct in ((1, False), (2, False), (1, True), (2, True)):
-        dp = table(s, distinct)
+        dp = unbounded[s, distinct] = table(s, distinct)
         gf = fermi_gf(s, degree) if distinct else bose_gf(s, degree)
         yield f"gf_vs_dp_{'fermi' if distinct else 'bose'}_s{s}", gf.coeffs, dp
 
@@ -273,7 +268,7 @@ def identities(degree: int):
                counting.conjugate_restricted_table(n_parts, degree),
                table(1, False, n_parts))
 
-    yield "euler_odd_equals_distinct", counting.odd_parts_table(degree), table(1, True)
+    yield "euler_odd_equals_distinct", counting.odd_parts_table(degree), unbounded[1, True]
 
     # prod (1 + x^v) = prod (1 - x^(2v)) / (1 - x^v) over the part values v.
     for s in (1, 2):

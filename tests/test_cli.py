@@ -102,6 +102,28 @@ def test_asym_matches_library(capsys):
     assert valid == "1"
 
 
+@pytest.mark.parametrize("statistics", ["bose", "fermi"])
+def test_asym_drop_half_term(capsys, statistics):
+    _, out = run(capsys, ["asym", "--statistics", statistics, "--parts", "20",
+                          "--max", "600", "--drop-half-term"])
+    meta, _, *rows = out.splitlines()
+    assert "drop_half_term=True" in meta.split()
+    assert len(rows) == 600
+    _, kept = run(capsys, ["asym", "--statistics", statistics, "--parts", "20",
+                           "--max", "600"])
+    assert rows != kept.splitlines()[2:]
+    for row in rows:
+        e, density = row.split(",")[:2]
+        if statistics == "bose":
+            value = pd.rho_restricted_bose(float(e), 20, keep_half_term=False).value
+        else:
+            value = pd.rho_restricted_fermi(float(e), 20, keep_half_term=False)
+        assert density == repr(value)
+    _, out = run(capsys, ["asym", "--statistics", statistics, "--max", "5",
+                          "--drop-half-term"])
+    assert not any(f.startswith("drop_half_term=") for f in out.splitlines()[0].split())
+
+
 def test_saddle_command_row(capsys):
     _, out = run(capsys, ["saddle", "--s", "2", "--statistics", "fermi",
                           "--energies", "100"])
@@ -186,6 +208,23 @@ def test_resource_cap_exit_code(capsys, monkeypatch):
     assert run(capsys, ["audit", "--degree", "51"])[0] == 3
 
 
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ("PARTITION_DOS_MAX_N", ["exact", "--max", "300000"]),
+        ("PARTITION_DOS_MAX_DEGREE", ["audit", "--degree", "10"]),
+    ],
+)
+@pytest.mark.parametrize("raw", ["1e6", "abc", "-5"])
+def test_malformed_cap_override_is_usage_error(capsys, monkeypatch, env, argv, raw):
+    monkeypatch.setenv(env, raw)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: {env} must be a nonnegative integer, got {raw!r}\n"
+
+
 def test_version_flag(capsys):
     assert cli.main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == pd.__version__
@@ -224,3 +263,20 @@ def test_tiny_exponent_solver_failure(capsys, s):
     assert code == cli.EXIT_NUMERIC
     assert captured.out == ""
     assert captured.err == "error: level sum at beta=31.25 needs more than 5000000 terms\n"
+
+
+def test_parser_is_built_once_and_reusable(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argvs = [["exact"], ["--version"], ["exact", "--max", "5"]]
+    alone = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        code = cli.main(argv)
+        alone.append((code, *capsys.readouterr()))
+    cli.build_parser.cache_clear()
+    in_sequence = []
+    for argv in argvs:
+        code = cli.main(argv)
+        in_sequence.append((code, *capsys.readouterr()))
+    assert in_sequence == alone
+    assert [code for code, _, _ in alone] == [cli.EXIT_USAGE, cli.EXIT_OK, cli.EXIT_OK]
