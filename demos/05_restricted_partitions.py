@@ -28,7 +28,7 @@ print(f"\n{'n':>5} {'p_20(n)':>14} {'unrestricted-p':>15} {'corrected-p':>13} {'
 for n in (50, 100, 200, 400, 600):
     exact = p_n[n]
     du = bose_density_s1(float(n)) - exact
-    dr = rho_restricted_bose(float(n), n_parts).value - exact
+    dr = rho_restricted_bose(float(n), n_parts) - exact
     print(f"{n:>5} {exact:>14} {du:>15.4g} {dr:>13.4g}"
           f" {erdos_lehner_factor(float(n), n_parts):>8.4f}")
 

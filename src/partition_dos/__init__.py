@@ -7,7 +7,6 @@ from .asymptotic import (
     BOSE,
     FERMI,
     AsymptoticModel,
-    RestrictedDensity,
     bose_density_s1,
     bose_density_s2,
     erdos_lehner_factor,

@@ -193,24 +193,12 @@ def erdos_lehner_factor(E: float, n_parts: int, keep_half_term: bool = True) -> 
     return math.exp(-amplitude * math.exp(-math.pi * n_parts / root))
 
 
-@dataclass(frozen=True)
-class RestrictedDensity:
-    """Smooth restricted density plus a soft flag for the validity window."""
-
-    value: float
-    in_validity_region: bool
-
-
-def rho_restricted_bose(
-    E: float, n_parts: int, keep_half_term: bool = True
-) -> RestrictedDensity:
+def rho_restricted_bose(E: float, n_parts: int, keep_half_term: bool = True) -> float:
     """Smooth at-most-N-parts density for s = 1 (unrestricted curve times
-    the Erdos-Lehner factor).  The flag marks C(1) < E < C(1) N**2; outside
-    that window the value is still returned but is not meaningful.
+    the Erdos-Lehner factor).  It is meaningful inside validity_region(N),
+    C(1) < E < C(1) N**2; outside that window the value is still returned.
     """
-    lo, hi = validity_region(n_parts)
-    value = bose_density_s1(E) * erdos_lehner_factor(E, n_parts, keep_half_term)
-    return RestrictedDensity(value, lo < E < hi)
+    return bose_density_s1(E) * erdos_lehner_factor(E, n_parts, keep_half_term)
 
 
 def rho_restricted_fermi(E: float, n_parts: int, keep_half_term: bool = True) -> float:

@@ -128,25 +128,20 @@ def cmd_exact(args) -> int:
 
 def cmd_asym(args) -> int:
     stats = args.statistics
+    if args.drop_half_term and args.parts is None:
+        raise DomainError("--drop-half-term applies only to restricted formulas; add --parts")
     grid = _energy_grid(args)
     if args.parts is not None:
         if args.s != 1:
             raise DomainError("restricted formulas are available only for s=1")
+        keep = not args.drop_half_term
         if stats == asymptotic.BOSE:
-            rows = []
-            for e in grid:
-                r = asymptotic.rho_restricted_bose(
-                    e, args.parts, keep_half_term=not args.drop_half_term
-                )
-                rows.append((e, r.value, int(r.in_validity_region)))
+            lo, hi = asymptotic.validity_region(args.parts)
+            rows = [(e, asymptotic.rho_restricted_bose(e, args.parts, keep), int(lo < e < hi))
+                    for e in grid]
             columns = ["E", "density", "in_validity"]
         else:
-            rows = [
-                (e, asymptotic.rho_restricted_fermi(
-                    e, args.parts, keep_half_term=not args.drop_half_term
-                ))
-                for e in grid
-            ]
+            rows = [(e, asymptotic.rho_restricted_fermi(e, args.parts, keep)) for e in grid]
             columns = ["E", "density"]
     else:
         model = asymptotic.make_model(args.s, stats, args.shift)
@@ -275,14 +270,12 @@ def cmd_figure(args) -> int:
         top = grid.stop - 1
         if fid == 5:
             table = counting.conjugate_restricted_table(n_parts, top)
-            free = asymptotic.bose_density_s1
-            capped = lambda e: asymptotic.rho_restricted_bose(e, n_parts).value
+            free, capped = asymptotic.bose_density_s1, asymptotic.rho_restricted_bose
         else:
             table = counting.distinct_restricted_table(n_parts, top)
-            free = asymptotic.fermi_density_s1
-            capped = lambda e: asymptotic.rho_restricted_fermi(e, n_parts)
-        rows = [(n, free(float(n)) - float(table[n]), capped(float(n)) - float(table[n]))
-                for n in grid]
+            free, capped = asymptotic.fermi_density_s1, asymptotic.rho_restricted_fermi
+        rows = [(n, free(float(n)) - float(table[n]),
+                 capped(float(n), n_parts) - float(table[n])) for n in grid]
         meta = _meta("figure", id=fid, parts=n_parts, min=grid.start, max=top)
         write_dataset(meta, ["n", "diff_unrestricted", "diff_restricted"], rows, args)
         return EXIT_OK

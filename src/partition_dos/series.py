@@ -9,10 +9,14 @@ truncated at a degree: a factor is included only while its part value fits
 under the truncation, and every omitted factor contributes 1 there.
 Coefficients are signed (intermediate factors like 1 - x^k need the sign)
 even though all final counts are nonnegative.
+
+One builder, _product, forms every product over the part values m**s,
+and identities() builds each product once for the whole suite.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import counting
@@ -26,7 +30,10 @@ class IntSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs, degree: int | None = None):
-        coeffs = [int(c) for c in coeffs]
+        try:
+            coeffs = list(map(operator.index, coeffs))
+        except TypeError as exc:
+            raise DomainError(f"coefficients must be integers: {exc}") from exc
         if degree is not None:
             if degree < 0:
                 raise DomainError(f"degree must be nonnegative, got {degree!r}")
@@ -103,24 +110,25 @@ def _check_degree(degree: int) -> None:
         )
 
 
-def geometric_factor(k: int, degree: int) -> IntSeries:
-    """1/(1 - x^k) truncated: 1 + x^k + x^2k + ..."""
+def _factor_start(k: int, degree: int) -> list[int]:
+    """Check a factor's arguments; return the coefficients of 1 to degree."""
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be a positive integer, got {k!r}")
     _check_degree(degree)
-    coeffs = [0] * (degree + 1)
-    for j in range(0, degree + 1, k):
+    return [1] + [0] * degree
+
+
+def geometric_factor(k: int, degree: int) -> IntSeries:
+    """1/(1 - x^k) truncated: 1 + x^k + x^2k + ..."""
+    coeffs = _factor_start(k, degree)
+    for j in range(k, degree + 1, k):
         coeffs[j] = 1
     return IntSeries(coeffs)
 
 
 def one_plus_power(k: int, degree: int) -> IntSeries:
     """1 + x^k truncated."""
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    _check_degree(degree)
-    coeffs = [0] * (degree + 1)
-    coeffs[0] = 1
+    coeffs = _factor_start(k, degree)
     if k <= degree:
         coeffs[k] = 1
     return IntSeries(coeffs)
@@ -128,14 +136,24 @@ def one_plus_power(k: int, degree: int) -> IntSeries:
 
 def one_minus_power(k: int, degree: int) -> IntSeries:
     """1 - x^k truncated."""
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    _check_degree(degree)
-    coeffs = [0] * (degree + 1)
-    coeffs[0] = 1
+    coeffs = _factor_start(k, degree)
     if k <= degree:
         coeffs[k] = -1
     return IntSeries(coeffs)
+
+
+def _product(factor, s: int, degree: int, m_max: int | None = None) -> IntSeries:
+    """Product of factor(m**s, degree) over m = 1, 2, ... while m**s <= degree
+    (and m <= m_max when set): the one loop behind every product here."""
+    if not isinstance(s, int) or s < 1:
+        raise DomainError(f"s must be a positive integer, got {s!r}")
+    _check_degree(degree)
+    out = IntSeries([1], degree)
+    m = 1
+    while m**s <= degree and (m_max is None or m <= m_max):
+        out = out * factor(m**s, degree)
+        m += 1
+    return out
 
 
 def bose_gf(s: int, degree: int, m_max: int | None = None) -> IntSeries:
@@ -146,33 +164,14 @@ def bose_gf(s: int, degree: int, m_max: int | None = None) -> IntSeries:
     m_max=N) the generating-function oracle for
     counting.conjugate_restricted_table(N, d) in the tests.
     """
-    if not isinstance(s, int) or s < 1:
-        raise DomainError(f"s must be a positive integer, got {s!r}")
     if m_max is not None and (not isinstance(m_max, int) or m_max < 1):
         raise DomainError(f"m_max must be a positive integer or None, got {m_max!r}")
-    _check_degree(degree)
-    out = IntSeries([1], degree)
-    m = 1
-    while m_max is None or m <= m_max:
-        v = m**s
-        if v > degree:
-            break
-        out = out * geometric_factor(v, degree)
-        m += 1
-    return out
+    return _product(geometric_factor, s, degree, m_max)
 
 
 def fermi_gf(s: int, degree: int) -> IntSeries:
     """Product of (1 + x^(m**s)); coefficient of x^n counts distinct partitions."""
-    if not isinstance(s, int) or s < 1:
-        raise DomainError(f"s must be a positive integer, got {s!r}")
-    _check_degree(degree)
-    out = IntSeries([1], degree)
-    m = 1
-    while m**s <= degree:
-        out = out * one_plus_power(m**s, degree)
-        m += 1
-    return out
+    return _product(one_plus_power, s, degree)
 
 
 def distinct_restricted_gf(n_parts: int, degree: int) -> IntSeries:
@@ -236,7 +235,8 @@ def identities(degree: int):
     (pentagonal recurrences for s = 1, the knapsack for s = 2), the
     staircase decomposition and Young-diagram conjugation against the
     exactly-k recurrences, and Euler's distinct = odd parts in table and
-    product form.  The names and their order are the output contract of
+    product form.  Each product is built once and read by every identity
+    that needs it.  The names and their order are the output contract of
     the `audit` command.
     """
 
@@ -244,10 +244,10 @@ def identities(degree: int):
         spec = counting.SpectrumSpec(s, distinct, n_parts)
         return counting.build_table(spec, degree).counts
 
-    unbounded = {}
+    unbounded, products = {}, {}
     for s, distinct in ((1, False), (2, False), (1, True), (2, True)):
         dp = unbounded[s, distinct] = table(s, distinct)
-        gf = fermi_gf(s, degree) if distinct else bose_gf(s, degree)
+        gf = products[s, distinct] = fermi_gf(s, degree) if distinct else bose_gf(s, degree)
         yield f"gf_vs_dp_{'fermi' if distinct else 'bose'}_s{s}", gf.coeffs, dp
 
     for n_parts in (4, 10, 30):
@@ -256,12 +256,10 @@ def identities(degree: int):
                table(1, True, n_parts))
 
     # The full distinct product equals the staircase sum once every
-    # staircase offset i(i+1)/2 <= degree is included.
-    i_eff = 1
-    while i_eff * (i_eff + 1) // 2 <= degree:
-        i_eff += 1
-    yield ("staircase_series", fermi_gf(1, degree).coeffs,
-           distinct_restricted_gf(i_eff, degree).coeffs)
+    # staircase offset i(i+1)/2 <= degree is included; the sum stops at the
+    # last such offset by itself.
+    yield ("staircase_series", products[1, True].coeffs,
+           distinct_restricted_gf(degree + 1, degree).coeffs)
 
     for n_parts in (2, 7, 20, 50):
         yield (f"conjugation_N{n_parts}",
@@ -270,12 +268,8 @@ def identities(degree: int):
 
     yield "euler_odd_equals_distinct", counting.odd_parts_table(degree), unbounded[1, True]
 
-    # prod (1 + x^v) = prod (1 - x^(2v)) / (1 - x^v) over the part values v.
+    # prod (1 + x^v) = prod 1/(1 - x^v) * prod (1 - x^(2v)) over the part values v.
     for s in (1, 2):
-        lhs = fermi_gf(s, degree)
-        rhs = IntSeries([1], degree)
-        m = 1
-        while m**s <= degree:
-            rhs = rhs * one_minus_power(2 * m**s, degree) * geometric_factor(m**s, degree)
-            m += 1
-        yield f"euler_factorization_s{s}", lhs.coeffs, rhs.coeffs
+        rhs = products[s, False] * _product(
+            lambda v, d: one_minus_power(2 * v, d), s, degree)
+        yield f"euler_factorization_s{s}", products[s, True].coeffs, rhs.coeffs

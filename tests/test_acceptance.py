@@ -230,7 +230,7 @@ def test_criterion_07_restricted_bose_improvement():
         for n in grid:
             p_n = float(exact[n])
             du = abs(pd.bose_density_s1(float(n)) - p_n)
-            dr = abs(pd.rho_restricted_bose(float(n), n_parts).value - p_n)
+            dr = abs(pd.rho_restricted_bose(float(n), n_parts) - p_n)
             wins += dr < du
         fractions.append(wins / len(grid))
     ok = all(f >= 0.9 for f in fractions)

@@ -98,8 +98,13 @@ def test_asym_matches_library(capsys):
     _, out = run(capsys, ["asym", "--s", "1", "--statistics", "bose", "--parts", "20",
                           "--energies", "100"])
     e, value, valid = last_row(out).split(",")
-    assert float(value) == pytest.approx(pd.rho_restricted_bose(100.0, 20).value, rel=1e-12)
+    assert float(value) == pytest.approx(pd.rho_restricted_bose(100.0, 20), rel=1e-12)
     assert valid == "1"
+    _, out = run(capsys, ["asym", "--statistics", "bose", "--parts", "20",
+                          "--energies", "70000"])
+    e, value, valid = last_row(out).split(",")
+    assert float(value) == pytest.approx(pd.rho_restricted_bose(7e4, 20), rel=1e-12)
+    assert valid == "0"
 
 
 @pytest.mark.parametrize("statistics", ["bose", "fermi"])
@@ -115,13 +120,17 @@ def test_asym_drop_half_term(capsys, statistics):
     for row in rows:
         e, density = row.split(",")[:2]
         if statistics == "bose":
-            value = pd.rho_restricted_bose(float(e), 20, keep_half_term=False).value
+            value = pd.rho_restricted_bose(float(e), 20, keep_half_term=False)
         else:
             value = pd.rho_restricted_fermi(float(e), 20, keep_half_term=False)
         assert density == repr(value)
-    _, out = run(capsys, ["asym", "--statistics", statistics, "--max", "5",
-                          "--drop-half-term"])
-    assert not any(f.startswith("drop_half_term=") for f in out.splitlines()[0].split())
+    # Without --parts the flag has nothing to act on: a usage error, not a no-op.
+    code = cli.main(["asym", "--statistics", statistics, "--max", "5", "--drop-half-term"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--drop-half-term" in captured.err and "--parts" in captured.err
 
 
 def test_saddle_command_row(capsys):

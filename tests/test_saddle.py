@@ -278,7 +278,7 @@ def test_finite_cap_saddle_matches_restricted_formula(n_parts, energies):
     spec = pd.ThermoSpec(1, pd.BOSE, n_parts)
     for e in energies:
         numeric = pd.find_saddle(spec, e).density
-        closed = pd.rho_restricted_bose(e, n_parts).value
+        closed = pd.rho_restricted_bose(e, n_parts)
         assert numeric == pytest.approx(closed, rel=0.05)
 
 

@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partition_dos as pd
+from partition_dos import series
 from partition_dos.errors import DegreeMismatchError, DomainError, ResourceLimitError
 
 small_series = st.lists(st.integers(-9, 9), min_size=1, max_size=13).map(pd.IntSeries)
@@ -137,6 +139,27 @@ def test_euler_factorization(s):
     assert pd.verify_identity(pd.fermi_gf(s, degree), rhs).equal
 
 
+def test_identities_build_each_product_once(monkeypatch):
+    calls = []
+
+    def counted(name, builder):
+        def wrapper(s, *args, **kwargs):
+            calls.append((name, s))
+            return builder(s, *args, **kwargs)
+        return wrapper
+
+    for name in ("bose_gf", "fermi_gf"):
+        monkeypatch.setattr(series, name, counted(name, getattr(series, name)))
+    list(series.identities(60))
+    assert sorted(calls) == [("bose_gf", 1), ("bose_gf", 2), ("fermi_gf", 1), ("fermi_gf", 2)]
+
+
+def test_integer_like_coefficients():
+    got = pd.IntSeries([np.int64(3), True, np.uint8(2)]).coeffs
+    assert got == (3, 1, 2)
+    assert all(type(c) is int for c in got)
+
+
 def test_verify_identity_mismatch():
     report = pd.verify_identity(pd.IntSeries([1, 2]), pd.IntSeries([1, 3]))
     assert not report.equal
@@ -174,6 +197,8 @@ def test_coefficient_bounds():
         lambda: pd.fermi_gf(1, -1),
         lambda: pd.distinct_restricted_gf(0, 5),
         lambda: pd.IntSeries([1], degree=-1),
+        lambda: pd.IntSeries([1.5]),
+        lambda: pd.IntSeries(["7"]),
     ],
 )
 def test_series_domain_errors(bad):
