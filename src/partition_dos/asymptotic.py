@@ -89,17 +89,25 @@ def make_model(s: float, statistics: str, rademacher_shift: bool = False) -> Asy
         raise DomainError("the -1/24 shift applies only to s=1 multiset counting")
     s = float(s)
     arg = 1.0 + 1.0 / s
-    g = math.gamma(arg)
+    too_small = f"s={s!r} is too small: the model constants overflow a float"
+    try:
+        g = math.gamma(arg)
+    except OverflowError as exc:
+        raise DomainError(too_small) from exc
     c = g * zeta(arg)
     d = g * eta(arg)
+    kappa = (c / s) ** (s / (1.0 + s))
+    lam = (d / s) ** (s / (1.0 + s))
+    if not all(map(math.isfinite, (c, d, kappa, lam))):
+        raise DomainError(too_small)
     return AsymptoticModel(
         s=s,
         statistics=statistics,
         rademacher_shift=rademacher_shift,
         C=c,
         D=d,
-        kappa=(c / s) ** (s / (1.0 + s)),
-        lam=(d / s) ** (s / (1.0 + s)),
+        kappa=kappa,
+        lam=lam,
     )
 
 

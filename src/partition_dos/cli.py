@@ -18,6 +18,7 @@ import sys
 
 from . import __version__, asymptotic, counting, fluctuation, saddle, series
 from .errors import ConvergenceError, DomainError, PrecisionLossError, ResourceLimitError
+from .limits import MAX_TABLE_ENV, max_table_size
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -75,6 +76,15 @@ def _meta(command: str, **fields) -> dict:
 # grids
 
 
+def _check_size(what: str, size: float) -> None:
+    """Refuse a grid or table larger than PARTITION_DOS_MAX_N; inf is larger."""
+    cap = max_table_size()
+    if size > cap:
+        raise ResourceLimitError(
+            f"{what}={size} exceeds the cap {cap} (override with {MAX_TABLE_ENV})"
+        )
+
+
 def _energy_grid(args) -> list[float]:
     bounds = (("--min", args.min), ("--max", args.max), ("--step", args.step))
     for flag, value in bounds:
@@ -88,6 +98,7 @@ def _energy_grid(args) -> list[float]:
         for e in grid:
             if not math.isfinite(e):
                 raise DomainError(f"--energies values must be finite, got {e!r}")
+        _check_size("energy grid length", len(grid))
         return grid
     if args.max is None:
         raise DomainError("either --energies or --max is required")
@@ -95,13 +106,19 @@ def _energy_grid(args) -> list[float]:
         raise DomainError("--max must be at least --min")
     if args.step <= 0:
         raise DomainError("--step must be positive")
-    n_steps = int(math.floor((args.max - args.min) / args.step + 1e-9))
-    return [args.min + k * args.step for k in range(n_steps + 1)]
+    span = (args.max - args.min) / args.step + 1e-9  # inf once the range overflows
+    rows = math.floor(span) + 1 if math.isfinite(span) else span
+    _check_size("energy grid length", rows)
+    return [args.min + k * args.step for k in range(rows)]
 
 
 def _validity_grid(n_parts: int) -> range:
+    """The n inside validity_region(n_parts); the exact table behind a figure
+    runs to the last of them, so that n is held to the table cap."""
     lo, hi = asymptotic.validity_region(n_parts)
-    return range(int(math.floor(lo)) + 1, int(math.ceil(hi)))
+    grid = range(int(math.floor(lo)) + 1, int(math.ceil(hi)))
+    _check_size("figure table n_max", grid.stop - 1)
+    return grid
 
 
 # ---------------------------------------------------------------------------

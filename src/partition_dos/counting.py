@@ -9,7 +9,8 @@ Python integers; nothing here ever rounds.
 :func:`build_table` counts s = 1 by classical recurrences and every s >= 2
 spec by a knapsack sweep, which also serves as the tests' oracle for the
 recurrences.  The other tables here are second routes to s = 1 counts: each
-docstring names the table it is the oracle for.
+docstring names the table it is the oracle for.  Only SpectrumSpec.part_values
+lists the part values; each unbounded knapsack is one _add_parts sweep.
 """
 
 from __future__ import annotations
@@ -100,24 +101,27 @@ def build_table(spec: SpectrumSpec, n_max: int) -> PartitionTable:
     return PartitionTable(spec, tuple(counts))
 
 
-def _add_part(row: list[int], v: int, distinct: bool = False) -> None:
-    """Admit the part value v into the counts in `row`, in place.
+def _add_parts(row: list[int], values, distinct: bool = False) -> list[int]:
+    """Admit each part value v in `values` into the counts in `row`, in
+    turn and in place; return `row`.
 
     row[j] += row[j - v] for every j >= v.  Sweeping j upward reads entries
     that already include v, so v may repeat; sweeping downward reads only
     entries from before v, so v is used at most once.
     """
-    js = range(len(row) - 1, v - 1, -1) if distinct else range(v, len(row))
-    for j in js:
-        row[j] += row[j - v]
+    for v in values:
+        js = range(len(row) - 1, v - 1, -1) if distinct else range(v, len(row))
+        for j in js:
+            row[j] += row[j - v]
+    return row
 
 
 def _knapsack(spec: SpectrumSpec, n_max: int) -> list[int]:
     """Counts for n = 0..n_max by a knapsack sweep over the part values.
 
     The route for every s >= 2 spec, and the oracle the tests hold the s = 1
-    recurrences of :func:`build_table` to.  Unbounded specs admit one part
-    value at a time (:func:`_add_part`).  A part cap adds a second dimension,
+    recurrences of :func:`build_table` to.  An unbounded spec is one
+    :func:`_add_parts` sweep.  A part cap adds a second dimension,
     dp[k][j] = partitions of j into exactly k parts, and each value v moves
     counts from k - 1 parts to k parts.  Taking k downward reads a dp[k - 1]
     that v has not touched yet, so v is used at most once; taking k upward
@@ -126,11 +130,7 @@ def _knapsack(spec: SpectrumSpec, n_max: int) -> list[int]:
     """
     values = spec.part_values(n_max)
     if spec.max_parts is None:
-        counts = [0] * (n_max + 1)
-        counts[0] = 1
-        for v in values:
-            _add_part(counts, v, spec.distinct)
-        return counts
+        return _add_parts([1] + [0] * n_max, values, spec.distinct)
     n_parts = spec.max_parts
     dp = [[0] * (n_max + 1) for _ in range(n_parts + 1)]
     dp[0][0] = 1
@@ -280,13 +280,9 @@ def conjugate_restricted_table(n_parts: int, n_max: int) -> list[int]:
     """
     if not isinstance(n_parts, int) or n_parts < 1:
         raise DomainError(f"n_parts must be a positive integer, got {n_parts!r}")
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max!r}")
-    row = [0] * (n_max + 1)
-    row[0] = 1
-    for v in range(1, min(n_parts, n_max) + 1):
-        _add_part(row, v)
-    return row
+    if not isinstance(n_max, int) or n_max < 0:
+        raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    return _add_parts([1] + [0] * n_max, range(1, min(n_parts, n_max) + 1))
 
 
 def odd_parts_table(n_max: int) -> list[int]:
@@ -296,13 +292,9 @@ def odd_parts_table(n_max: int) -> list[int]:
     oracle for the pentagonal route to d(n) in build_table(SpectrumSpec(1,
     True), ...), in the audit identity euler_odd_equals_distinct.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max!r}")
-    row = [0] * (n_max + 1)
-    row[0] = 1
-    for v in range(1, n_max + 1, 2):
-        _add_part(row, v)
-    return row
+    if not isinstance(n_max, int) or n_max < 0:
+        raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    return _add_parts([1] + [0] * n_max, range(1, n_max + 1, 2))
 
 
 def distinct_restricted_table(n_parts: int, n_max: int) -> list[int]:
@@ -321,17 +313,15 @@ def distinct_restricted_table(n_parts: int, n_max: int) -> list[int]:
     """
     if not isinstance(n_parts, int) or n_parts < 1:
         raise DomainError(f"n_parts must be a positive integer, got {n_parts!r}")
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max!r}")
-    base = [0] * (n_max + 1)  # at most i parts; starts at i = 0
-    base[0] = 1
-    out = [0] * (n_max + 1)
-    out[0] = 1
+    if not isinstance(n_max, int) or n_max < 0:
+        raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    base = [1] + [0] * n_max  # at most i parts; starts at i = 0
+    out = [1] + [0] * n_max
     for i in range(1, n_parts + 1):
         tri = i * (i + 1) // 2
         if tri > n_max:
             break
-        _add_part(base, i)  # extend base from "<= i-1 parts" to "<= i parts"
+        _add_parts(base, (i,))  # extend base from "<= i-1 parts" to "<= i parts"
         for n in range(tri, n_max + 1):
             out[n] += base[n - tri]
     return out

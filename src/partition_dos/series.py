@@ -10,8 +10,8 @@ under the truncation, and every omitted factor contributes 1 there.
 Coefficients are signed (intermediate factors like 1 - x^k need the sign)
 even though all final counts are nonnegative.
 
-One builder, _product, forms every product over the part values m**s,
-and identities() builds each product once for the whole suite.
+One builder, _product, forms every product over the part values m**s that
+counting.SpectrumSpec lists, and identities() builds each product once.
 """
 
 from __future__ import annotations
@@ -143,16 +143,13 @@ def one_minus_power(k: int, degree: int) -> IntSeries:
 
 
 def _product(factor, s: int, degree: int, m_max: int | None = None) -> IntSeries:
-    """Product of factor(m**s, degree) over m = 1, 2, ... while m**s <= degree
-    (and m <= m_max when set): the one loop behind every product here."""
-    if not isinstance(s, int) or s < 1:
-        raise DomainError(f"s must be a positive integer, got {s!r}")
+    """Product of factor(v, degree) over the part values v <= degree of
+    counting.SpectrumSpec(s), the first m_max when set: the one product loop."""
+    spec = counting.SpectrumSpec(s)
     _check_degree(degree)
     out = IntSeries([1], degree)
-    m = 1
-    while m**s <= degree and (m_max is None or m <= m_max):
-        out = out * factor(m**s, degree)
-        m += 1
+    for v in spec.part_values(degree)[:m_max]:
+        out = out * factor(v, degree)
     return out
 
 

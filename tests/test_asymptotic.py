@@ -95,6 +95,16 @@ def test_model_validation():
         pd.make_model(2, pd.BOSE, rademacher_shift=True)
 
 
+def test_model_constant_overflow_is_domain_error():
+    # Gamma(1 + 1/s) overflows below s ~ 0.00586, kappa below s ~ 0.005895.
+    for s in (0.005, 0.005862):
+        with pytest.raises(DomainError, match="too small"):
+            pd.make_model(s, pd.BOSE)
+    m = pd.make_model(0.0059, pd.BOSE)
+    assert m.C == m.D == pytest.approx(5.325203114670031e305, rel=1e-12)
+    assert m.kappa == m.lam == pytest.approx(64.01478670734691, rel=1e-12)
+
+
 def test_density_examples():
     rho_b = pd.rho_unrestricted(pd.make_model(1, pd.BOSE), 10.0)
     assert rho_b == pytest.approx(

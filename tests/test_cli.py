@@ -211,8 +211,18 @@ def test_exit_codes(capsys):
 
 
 def test_resource_cap_exit_code(capsys, monkeypatch):
+    # At the default cap, a --min..--max range that overflows a float is an
+    # infinitely long grid, not a crash.
+    assert run(capsys, ["asym", "--min=-1e308", "--max=1e308"])[0] == 3
     monkeypatch.setenv("PARTITION_DOS_MAX_N", "100")
     assert run(capsys, ["exact", "--max", "101"])[0] == 3
+    # Figures 5 and 6 build their exact table up to the top of the validity
+    # grid: n = 657 for 20 parts, n = 80 for 7 parts.
+    assert run(capsys, ["figure", "5", "--parts", "20"])[0] == 3
+    assert run(capsys, ["figure", "6", "--parts", "20"])[0] == 3
+    assert run(capsys, ["figure", "5", "--parts", "7"])[0] == 0
+    assert run(capsys, ["asym", "--max", "500"])[0] == 3
+    assert run(capsys, ["asym", "--max", "100"])[0] == 0
     monkeypatch.setenv("PARTITION_DOS_MAX_DEGREE", "50")
     assert run(capsys, ["audit", "--degree", "51"])[0] == 3
 
@@ -255,6 +265,16 @@ def test_non_finite_energies_are_usage_errors(capsys, argv):
     code, out = run(capsys, argv)
     assert code == cli.EXIT_USAGE
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["asym", "--s", "0.005", "--max", "5"],
+                                  ["asym", "--s", "0.005862", "--max", "5"]])
+def test_overflowing_model_constants_are_usage_errors(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_solver_failure_exit_code(capsys):

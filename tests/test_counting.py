@@ -99,6 +99,9 @@ def test_enumerate_cap_overflow():
         lambda: pd.distinct_restricted_table(3, -1)[-1],
         lambda: pd.conjugate_restricted_table(0, 10),
         lambda: pd.odd_parts_table(-1),
+        lambda: pd.conjugate_restricted_table(3, 2.5),
+        lambda: pd.odd_parts_table(2.5),
+        lambda: pd.distinct_restricted_table(3, 2.5),
     ],
 )
 def test_domain_errors(bad):

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import partition_dos as pd
@@ -10,6 +10,9 @@ from partition_dos import series
 from partition_dos.errors import DegreeMismatchError, DomainError, ResourceLimitError
 
 small_series = st.lists(st.integers(-9, 9), min_size=1, max_size=13).map(pd.IntSeries)
+# About three quarters zeros, like the factors the products are built from.
+sparse_coeffs = st.lists(st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9)),
+                         min_size=1, max_size=24)
 
 
 def test_geometric_factor():
@@ -35,6 +38,17 @@ def test_mul_ten_random_series_association_orders():
     for f in factors[-2::-1]:
         right = f * right
     assert left == right
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=sparse_coeffs, b=sparse_coeffs)
+@example(a=[0, 0, 0, 0, 0], b=[1, 2, 0, 0, 3, 0, 0, 0, 4])
+@example(a=[5, 0, 0, 0, 0, 0, 0, 0, 1, 0], b=[1, -1, 2, 0, 3, 0])
+@example(a=[1, 1, 1, 1, 1, 1, 1], b=[1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0])
+def test_mul_matches_plain_convolution(a, b):
+    d = min(len(a), len(b)) - 1
+    want = tuple(sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(d + 1))
+    assert (pd.IntSeries(a) * pd.IntSeries(b)).coeffs == want
 
 
 @settings(max_examples=80, deadline=None)
