@@ -9,8 +9,8 @@ stationary point beta0 by a Gaussian:
 
 Here ln Z and its derivatives come from direct summation over the level
 values m**s, so the stationary point is found on the full entropy.  The
-last three columns are the solver's diagnostics: beta values tried by the
-bracketing sweep, refinement steps, and levels in the final sum.
+last two columns are the solver's diagnostics: level sums taken by its
+Newton steps in ln beta, and levels in the final sum.
 
 Run: python demos/04_saddle_point.py
 """
@@ -28,7 +28,7 @@ from partition_dos import (
 )
 
 print(f"{'case':>12} {'E':>6} {'beta0':>9} {'numeric':>13} {'closed form':>13} {'gap':>8}"
-      f" {'bracket':>7} {'iter':>4} {'levels':>6}")
+      f" {'iter':>4} {'levels':>6}")
 for stats in (BOSE, FERMI):
     for s in (1, 2):
         spec = ThermoSpec(s, stats)
@@ -39,7 +39,7 @@ for stats in (BOSE, FERMI):
             print(f"{stats + ' s=' + str(s):>12} {e:>6.0f} {res.beta0:>9.5f}"
                   f" {res.density:>13.5e} {closed:>13.5e}"
                   f" {res.density/closed - 1:>+8.2%}"
-                  f" {res.bracket_steps:>7} {res.iterations:>4} {res.level_terms:>6}")
+                  f" {res.iterations:>4} {res.level_terms:>6}")
 
 # The numeric route keeps every entropy term, so where the closed form is
 # least accurate (squares at moderate E) the numeric density is the better

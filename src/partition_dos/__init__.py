@@ -31,7 +31,6 @@ from .counting import (
     odd_parts_table,
 )
 from .errors import (
-    BracketingError,
     ConvergenceError,
     DegreeMismatchError,
     DomainError,

@@ -89,6 +89,8 @@ def make_model(s: float, statistics: str, rademacher_shift: bool = False) -> Asy
         raise DomainError("the -1/24 shift applies only to s=1 multiset counting")
     s = float(s)
     arg = 1.0 + 1.0 / s
+    if arg == 1.0:
+        raise DomainError(f"s={s!r} is too large: 1 + 1/s rounds to 1 in floats")
     too_small = f"s={s!r} is too small: the model constants overflow a float"
     try:
         g = math.gamma(arg)

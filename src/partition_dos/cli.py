@@ -117,6 +117,8 @@ def _validity_grid(n_parts: int) -> range:
     runs to the last of them, so that n is held to the table cap."""
     lo, hi = asymptotic.validity_region(n_parts)
     grid = range(int(math.floor(lo)) + 1, int(math.ceil(hi)))
+    if not grid:
+        raise DomainError(f"no integer n lies in the validity region ({lo}, {hi})")
     _check_size("figure table n_max", grid.stop - 1)
     return grid
 
@@ -272,6 +274,8 @@ def cmd_figure(args) -> int:
         s = 1 if fid in (1, 3) else 2
         distinct = fid in (3, 4)
         n_max = args.max if args.max is not None else 1000
+        if n_max < 1:
+            raise DomainError("need --max >= 1")
         table, model = _table_and_model(s, distinct, n_max)
         rows = [
             (n, table.counts[n], asymptotic.rho_unrestricted(model, float(n)))
@@ -405,7 +409,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ConvergenceError as exc:  # BracketingError included
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -17,10 +17,6 @@ class ConvergenceError(RuntimeError):
     """An iterative numerical procedure failed to converge within its budget."""
 
 
-class BracketingError(ConvergenceError):
-    """No sign change was found for a root on the searched interval."""
-
-
 class SpecMismatchError(ValueError):
     """Two objects that must describe the same counting problem do not."""
 

@@ -4,7 +4,8 @@ and apply the Gaussian (second-order) approximation
 
     rho(E) = exp(S(beta0)) / sqrt(2 pi S''(beta0)).
 
-No closed-form expansion enters: derivatives are exact term-wise sums.
+No closed-form expansion enters: derivatives are exact term-wise sums,
+and one loop of bracketed Newton steps in ln beta finds the saddle.
 Each level sum is one numpy pass over the levels inside the cutoff, in
 chunks of at most 2**13 levels; the scalar loop it replaced stays in the
 tests as its oracle.  The module also carries the exact resummation of the
@@ -25,19 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import BOSE, FERMI, eta, zeta
-from .errors import BracketingError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 
 # exp(-37) < 1e-16: once beta * m**s passes this, further terms are dust.
 _TERM_CUTOFF = 37.0
 # find_saddle stops once |S'(beta)| <= _TOL_SCALE * E.
-_TOL_SCALE = 1e-9
+_TOL_SCALE = 1e-12
 _MAX_TERMS = 5_000_000
 # Levels per numpy pass of the level sum.  Keeps each temporary at 64 KiB:
 # passes of 2**16 levels ran slower and added ~3 MB to peak memory.
 _CHUNK = 1 << 13
-
-_BRACKET_LO = 1e-6
-_BRACKET_HI = 1e3
 
 
 @dataclass(frozen=True)
@@ -73,9 +71,8 @@ class ThermoSpec:
 class SaddleResult:
     """Stationary point and the Gaussian-approximation density built from it.
 
-    Solver diagnostics: bracket_steps counts the beta values the bracketing
-    sweep evaluated, iterations the level sums of the refinement, and
-    level_terms the levels summed in the final evaluation.
+    Solver diagnostics: iterations counts the level sums of the solve, and
+    level_terms the levels summed in the final one.
     """
 
     beta0: float
@@ -83,7 +80,6 @@ class SaddleResult:
     curvature: float
     density: float
     residual: float
-    bracket_steps: int
     iterations: int
     level_terms: int
 
@@ -168,35 +164,30 @@ def entropy(spec: ThermoSpec, E: float, beta: float) -> float:
 def find_saddle(spec: ThermoSpec, E: float) -> SaddleResult:
     """Solve S'(beta0) = 0 and assemble the Gaussian density estimate.
 
-    S' is monotone increasing (S'' > 0 for every level sum), so a descending
-    geometric sweep over beta in [1e-6, 1e3] brackets the unique root, which
-    safeguarded Newton steps then polish to |S'| <= _TOL_SCALE * E.
+    S' = E - <E> with <E> = -d ln Z/d beta, and S'' > 0, so the root is
+    unique.  One loop keeps a bracket [lo, hi], starting at [0, 37], and
+    takes Newton steps on ln <E> = ln E in ln beta, whose slope is
+    -k = -beta S''/<E>; ln <E> is linear in ln beta, with k = 1 + 1/s, for
+    a continuous power-law spectrum, so a solve takes 5-8 level sums.  At
+    beta = 37 the sum has exactly one level and S' = E - 8.5e-17 > 0 for
+    every E above e^-37; x never exceeds 37, so <E> > 0 and S'' > 0 at
+    every step.  For E below e^-37, lo = hi = 37 and the loop stalls.
+
+    A step outside the bracket is replaced by its geometric midpoint, or
+    by halving beta while no lower end is known; until then a step also
+    needs k >= 1.  That always holds for bose, where each level has
+    k_m = t e^t / (e^t - 1) >= 1.  For fermi, k < 1 means the occupied
+    levels saturate and <E> sits on a plateau until the next level m**s
+    comes in; a Newton step from there jumped to beta = 3e-274 at s = 10,
+    E = 1000.  A step past hi is never exponentiated, as e^shift could
+    overflow for such a small k.
     """
     if E <= 0:
         raise DomainError(f"E must be positive, got {E!r}")
     tol = _TOL_SCALE * E
 
-    hi = None
-    lo = None
-    beta = _BRACKET_HI
-    bracket_steps = 0
-    while beta >= _BRACKET_LO * (1.0 - 1e-12):
-        bracket_steps += 1
-        slope = E + _sum_terms(spec, beta)[1]
-        if slope > 0:
-            hi = beta
-        else:
-            lo = beta
-            break
-        beta *= 0.5
-    if lo is None or hi is None:
-        raise BracketingError(
-            f"entropy derivative has no sign change on [{_BRACKET_LO}, {_BRACKET_HI}] at E={E}"
-        )
-
-    x = math.sqrt(lo * hi)
-    lnz = dlnz = d2lnz = 0.0
-    slope = math.inf
+    lo, hi = 0.0, _TERM_CUTOFF
+    x = hi
     for iterations in range(1, 101):
         lnz, dlnz, d2lnz, level_terms = _sum_terms(spec, x)
         slope = E + dlnz
@@ -206,13 +197,18 @@ def find_saddle(spec: ThermoSpec, E: float) -> SaddleResult:
             hi = x
         else:
             lo = x
-        step = x - slope / d2lnz
-        x = step if lo < step < hi else math.sqrt(lo * hi)
+        k = x * d2lnz / -dlnz  # -d ln<E> / d ln beta
+        shift = (math.log(-dlnz) - math.log(E)) / k  # the Newton step in ln beta
+        step = x * math.exp(shift) if shift < math.log(hi / x) else hi
+        trusted = lo < step < hi and (lo > 0 or k >= 1.0)
+        x = step if trusted else (math.sqrt(lo * hi) if lo else 0.5 * hi)
     else:
         raise ConvergenceError(
             f"saddle refinement stalled at |S'|={abs(slope):.3e} (tol {tol:.3e})"
         )
 
+    if not math.isfinite(d2lnz):
+        raise ConvergenceError(f"S'' at beta={x} exceeds the float range")
     s0 = x * E + lnz
     density = math.exp(s0) / math.sqrt(2.0 * math.pi * d2lnz)
     return SaddleResult(
@@ -221,7 +217,6 @@ def find_saddle(spec: ThermoSpec, E: float) -> SaddleResult:
         curvature=d2lnz,
         density=density,
         residual=abs(slope),
-        bracket_steps=bracket_steps,
         iterations=iterations,
         level_terms=level_terms,
     )

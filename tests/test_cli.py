@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -277,6 +278,73 @@ def test_overflowing_model_constants_are_usage_errors(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("s", ["1e20", "inf"])
+def test_exponent_too_large_for_the_model_is_usage_error(capsys, s):
+    # 1 + 1/s rounds to 1, where zeta(1 + 1/s) has its pole.
+    code = cli.main(["asym", "--s", s, "--max", "3"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "s=" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["figure", "5", "--parts", "1"], ["figure", "6", "--parts", "1"]]
+    + [["figure", fid, "--max", "0"] for fid in ("1", "2", "3", "4")],
+)
+def test_empty_figure_dataset_is_usage_error(capsys, argv):
+    # C1 < n < C1 * 1**2 holds no integer; --max 0 leaves n = 1..0.
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def saddle_row(out):
+    e, beta0, entropy, curvature, density, residual = map(float, last_row(out).split(","))
+    return e, beta0, density, residual
+
+
+def test_saddle_tiny_energy_has_one_level_saddle(capsys):
+    # Only the level m = 1 is inside the cutoff: beta0 = log(1 + 1/E).
+    code, out = run(capsys, ["saddle", "--energies", "1e-15"])
+    assert code == 0
+    _, beta0, _, _ = saddle_row(out)
+    assert beta0 == pytest.approx(math.log1p(1e15), rel=1e-12)
+
+
+def test_saddle_below_the_one_level_floor_is_solver_failure(capsys):
+    # E < exp(-37): the saddle lies past the level-sum cutoff.
+    code = cli.main(["saddle", "--energies", "1e-17"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NUMERIC
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--s", "3", "--statistics", "fermi", "--energies", "1e8"],
+        ["--parts", "5", "--energies", "1e8"],
+        ["--s", "5", "--energies", "1e9"],
+    ],
+)
+def test_saddle_solves_far_from_unit_beta(capsys, argv):
+    code, out = run(capsys, ["saddle", *argv])
+    assert code == 0
+    e, _, density, residual = saddle_row(out)
+    assert residual <= 1e-12 * e
+    if "fermi" in argv:
+        code, out = run(capsys, ["asym", *argv])
+        assert code == 0
+        closed = float(last_row(out).split(",")[1])
+        assert abs(density - closed) <= 1e-6 * closed
+
+
 def test_solver_failure_exit_code(capsys):
     code = cli.main(["saddle", "--s", "0.001", "--energies", "100"])
     captured = capsys.readouterr()
@@ -291,7 +359,7 @@ def test_tiny_exponent_solver_failure(capsys, s):
     captured = capsys.readouterr()
     assert code == cli.EXIT_NUMERIC
     assert captured.out == ""
-    assert captured.err == "error: level sum at beta=31.25 needs more than 5000000 terms\n"
+    assert captured.err == "error: level sum at beta=12.018580815753095 needs more than 5000000 terms\n"
 
 
 def test_parser_is_built_once_and_reusable(capsys):

@@ -178,9 +178,12 @@ def test_level_sum_below_float_resolution_is_typed(beta):
 @pytest.mark.parametrize("s", [1e-4, 1e-3, 1e-300])
 def test_tiny_exponent_fails_before_summing(monkeypatch, s):
     # (37 / beta)**(1/s) overflows a float here; the level count must not.
+    spec = pd.ThermoSpec(s, pd.BOSE)
+    with pytest.raises(ConvergenceError, match="needs more than 5000000 terms"):
+        pd.find_saddle(spec, 100.0)
     monkeypatch.setattr(saddle_mod, "np", None)  # any level sum would fail
     with pytest.raises(ConvergenceError, match="needs more than 5000000 terms"):
-        pd.find_saddle(pd.ThermoSpec(s, pd.BOSE), 100.0)
+        saddle_mod._sum_terms(spec, 31.25)
 
 
 def test_huge_exponent_keeps_one_level():
@@ -193,13 +196,55 @@ def test_huge_exponent_keeps_one_level():
 
 def test_saddle_diagnostics():
     res = pd.find_saddle(pd.ThermoSpec(1, pd.BOSE), 100.0)
-    # The sweep halves beta from 1e3 down to the first negative slope.
-    assert res.bracket_steps == 1 + math.ceil(math.log2(1e3 / res.beta0))
     assert 1 <= res.iterations <= 100
     assert res.level_terms == saddle_mod._sum_terms(pd.ThermoSpec(1, pd.BOSE), res.beta0)[3]
     assert res.level_terms == math.floor(37.0 / res.beta0)
     capped = pd.find_saddle(pd.ThermoSpec(1, pd.BOSE, 20), 30.0)
     assert capped.level_terms == 20
+
+
+def _decades(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(
+            st.builds(pd.ThermoSpec, st.floats(0.5, 6.0), st.sampled_from([pd.BOSE, pd.FERMI])),
+            _decades(1e-3, 4e3),
+        ),
+        st.tuples(
+            st.builds(pd.ThermoSpec, st.just(1), st.just(pd.BOSE), st.integers(1, 40)),
+            _decades(1e-3, 1e6),
+        ),
+    )
+)
+def test_one_loop_converges(case):
+    # Newton steps in ln beta, from beta = 37 down, reach the tolerance in
+    # a handful of level sums.  No density here overflows: s = 0.5 does
+    # only above E ~ 4.7e3.
+    spec, e = case
+    res = pd.find_saddle(spec, e)
+    assert res.residual <= saddle_mod._TOL_SCALE * e
+    assert res.iterations <= 20
+    assert res.curvature > 0
+
+
+def test_plateau_step_is_not_exponentiated():
+    # Two fermi levels, 1 and 2**30: below the second one's onset k is
+    # tiny, and the unguarded Newton step e^shift overflowed a float.
+    res = pd.find_saddle(pd.ThermoSpec(30, pd.FERMI), 1000.0)
+    assert res.residual <= saddle_mod._TOL_SCALE * 1000.0
+    assert res.level_terms == 2
+
+
+def test_curvature_beyond_float_range_is_typed():
+    # At E = 1e171 the saddle's S'' ~ E**2 is past 1.8e308.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ConvergenceError, match="exceeds the float range"):
+            pd.find_saddle(pd.ThermoSpec(60, pd.FERMI), 1e171)
 
 
 def test_saddle_location_near_closed_form():
