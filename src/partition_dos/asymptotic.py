@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from . import counting
 from .errors import DomainError
+from .limits import integer, positive
 
 BOSE = "bose"
 FERMI = "fermi"
@@ -41,8 +42,7 @@ def eta(x: float) -> float:
     Villegas-Zagier Chebyshev acceleration, which converges like
     (3 + sqrt(8))**-n independent of x.
     """
-    if x <= 0:
-        raise DomainError(f"eta requires x > 0, got {x!r}")
+    positive("x", x)
     n = _ACCEL_TERMS
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0
@@ -58,7 +58,7 @@ def eta(x: float) -> float:
 
 def zeta(x: float) -> float:
     """Riemann zeta for x > 1, derived from eta via zeta = eta/(1 - 2**(1-x))."""
-    if x <= 1:
+    if not x > 1:
         raise DomainError(f"zeta requires x > 1, got {x!r}")
     return eta(x) / (1.0 - 2.0 ** (1.0 - x))
 
@@ -81,8 +81,7 @@ class AsymptoticModel:
 
 
 def make_model(s: float, statistics: str, rademacher_shift: bool = False) -> AsymptoticModel:
-    if not s > 0:
-        raise DomainError(f"s must be positive, got {s!r}")
+    positive("s", s)
     if statistics not in (BOSE, FERMI):
         raise DomainError(f"statistics must be {BOSE!r} or {FERMI!r}, got {statistics!r}")
     if rademacher_shift and not (statistics == BOSE and s == 1):
@@ -126,14 +125,13 @@ def rho_unrestricted(model: AsymptoticModel, E: float) -> float:
         sqrt(s lambda_s) * exp((1+s) lambda_s E**(1/(1+s)))
             / (2 sqrt(pi (1+s) E**((2s+1)/(s+1))))
     """
+    positive("E", E)
     s = model.s
     if model.statistics == BOSE:
         if model.rademacher_shift:
             if E <= 1.0 / 24.0:
-                raise DomainError(f"E must exceed 1/24 with the shift active, got {E!r}")
+                raise DomainError(f"E={E!r} does not exceed 1/24, as the shift needs")
             E = E - 1.0 / 24.0
-        elif E <= 0:
-            raise DomainError(f"E must be positive, got {E!r}")
         k = model.kappa
         return (
             k
@@ -142,8 +140,6 @@ def rho_unrestricted(model: AsymptoticModel, E: float) -> float:
             * E ** (-(3.0 * s + 1.0) / (2.0 * (s + 1.0)))
             * math.exp(k * (s + 1.0) * E ** (1.0 / (1.0 + s)))
         )
-    if E <= 0:
-        raise DomainError(f"E must be positive, got {E!r}")
     lam = model.lam
     return (
         math.sqrt(s * lam)
@@ -153,16 +149,26 @@ def rho_unrestricted(model: AsymptoticModel, E: float) -> float:
 
 
 def bose_density_s1(E: float) -> float:
-    """exp(pi sqrt(2E/3)) / (4 sqrt(3) E): the classical smooth p(n) curve."""
-    if E <= 0:
-        raise DomainError(f"E must be positive, got {E!r}")
+    """exp(pi sqrt(2E/3)) / (4 sqrt(3) E): the classical smooth p(n) curve.
+
+    The classical printed form, kept as the tests' oracle for
+    rho_unrestricted(make_model(1, BOSE), E); rho_restricted_bose and
+    rho_restricted_fermi build on it.
+    """
+    return _bose_s1(positive("E", E))
+
+
+def _bose_s1(E: float) -> float:
     return math.exp(math.pi * math.sqrt(2.0 * E / 3.0)) / (4.0 * math.sqrt(3.0) * E)
 
 
 def bose_density_s2(E: float) -> float:
-    """sqrt(2/3) kappa_2 / (2 pi)**1.5 * exp(3 kappa_2 E**(1/3)) / E**(7/6)."""
-    if E <= 0:
-        raise DomainError(f"E must be positive, got {E!r}")
+    """sqrt(2/3) kappa_2 / (2 pi)**1.5 * exp(3 kappa_2 E**(1/3)) / E**(7/6).
+
+    The classical printed form, kept as the tests' oracle for
+    rho_unrestricted(make_model(2, BOSE), E).
+    """
+    positive("E", E)
     kappa2 = (math.gamma(1.5) * zeta(1.5) / 2.0) ** (2.0 / 3.0)
     return (
         math.sqrt(2.0 / 3.0)
@@ -174,16 +180,19 @@ def bose_density_s2(E: float) -> float:
 
 
 def fermi_density_s1(E: float) -> float:
-    """exp(pi sqrt(E/3)) / (4 * 3**(1/4) * E**(3/4)): smooth distinct count."""
-    if E <= 0:
-        raise DomainError(f"E must be positive, got {E!r}")
+    """exp(pi sqrt(E/3)) / (4 * 3**(1/4) * E**(3/4)): smooth distinct count.
+
+    The classical printed form, kept as the tests' oracle for
+    rho_unrestricted(make_model(1, FERMI), E); rho_restricted_fermi starts
+    from it.
+    """
+    positive("E", E)
     return math.exp(math.pi * math.sqrt(E / 3.0)) / (4.0 * 3.0**0.25 * E**0.75)
 
 
 def validity_region(n_parts: int) -> tuple[float, float]:
     """(C(1), C(1) N**2): where the at-most-N-parts correction is trustworthy."""
-    if n_parts < 1:
-        raise DomainError(f"n_parts must be a positive integer, got {n_parts!r}")
+    integer("n_parts", n_parts, 1)
     return (C1, C1 * n_parts * n_parts)
 
 
@@ -194,10 +203,10 @@ def erdos_lehner_factor(E: float, n_parts: int, keep_half_term: bool = True) -> 
 
     keep_half_term=False drops the -1/2, which is negligible at large E.
     """
-    if E <= 0:
-        raise DomainError(f"E must be positive, got {E!r}")
-    if n_parts < 1:
-        raise DomainError(f"n_parts must be a positive integer, got {n_parts!r}")
+    return _erdos_lehner(positive("E", E), integer("n_parts", n_parts, 1), keep_half_term)
+
+
+def _erdos_lehner(E: float, n_parts: int, keep_half_term: bool) -> float:
     root = math.sqrt(6.0 * E)
     amplitude = root / math.pi - (0.5 if keep_half_term else 0.0)
     return math.exp(-amplitude * math.exp(-math.pi * n_parts / root))
@@ -232,10 +241,8 @@ def rho_restricted_fermi(E: float, n_parts: int, keep_half_term: bool = True) ->
     at-most-i-parts count by 12x (N = 20, E = 631, i = 21) and 69x
     (N = 30, E = 1456, i = 31).
     """
-    if E <= 0:
-        raise DomainError(f"E must be positive, got {E!r}")
-    if n_parts < 1:
-        raise DomainError(f"n_parts must be a positive integer, got {n_parts!r}")
+    positive("E", E)
+    integer("n_parts", n_parts, 1)
     total = fermi_density_s1(E)
     floor = 2.0 * C1
     integral = float(E).is_integer()
@@ -249,8 +256,7 @@ def rho_restricted_fermi(E: float, n_parts: int, keep_half_term: bool = True) ->
                 m = int(shifted)
                 total -= counting.conjugate_restricted_table(i, m)[m]
         else:
-            total -= bose_density_s1(shifted) * erdos_lehner_factor(
-                shifted, i, keep_half_term
-            )
+            # shifted > 0 and i > N: the inner term skips the argument checks.
+            total -= _bose_s1(shifted) * _erdos_lehner(shifted, i, keep_half_term)
         i += 1
     return total

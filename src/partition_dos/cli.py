@@ -18,7 +18,7 @@ import sys
 
 from . import __version__, asymptotic, counting, fluctuation, saddle, series
 from .errors import ConvergenceError, DomainError, PrecisionLossError, ResourceLimitError
-from .limits import MAX_TABLE_ENV, max_table_size
+from .limits import integer, table_size
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -76,15 +76,6 @@ def _meta(command: str, **fields) -> dict:
 # grids
 
 
-def _check_size(what: str, size: float) -> None:
-    """Refuse a grid or table larger than PARTITION_DOS_MAX_N; inf is larger."""
-    cap = max_table_size()
-    if size > cap:
-        raise ResourceLimitError(
-            f"{what}={size} exceeds the cap {cap} (override with {MAX_TABLE_ENV})"
-        )
-
-
 def _energy_grid(args) -> list[float]:
     bounds = (("--min", args.min), ("--max", args.max), ("--step", args.step))
     for flag, value in bounds:
@@ -95,10 +86,7 @@ def _energy_grid(args) -> list[float]:
             grid = [float(tok) for tok in args.energies.split(",") if tok.strip()]
         except ValueError as exc:
             raise DomainError(f"bad --energies list: {exc}") from exc
-        for e in grid:
-            if not math.isfinite(e):
-                raise DomainError(f"--energies values must be finite, got {e!r}")
-        _check_size("energy grid length", len(grid))
+        table_size("energy grid length", len(grid))
         return grid
     if args.max is None:
         raise DomainError("either --energies or --max is required")
@@ -108,18 +96,17 @@ def _energy_grid(args) -> list[float]:
         raise DomainError("--step must be positive")
     span = (args.max - args.min) / args.step + 1e-9  # inf once the range overflows
     rows = math.floor(span) + 1 if math.isfinite(span) else span
-    _check_size("energy grid length", rows)
+    table_size("energy grid length", rows)
     return [args.min + k * args.step for k in range(rows)]
 
 
 def _validity_grid(n_parts: int) -> range:
     """The n inside validity_region(n_parts); the exact table behind a figure
-    runs to the last of them, so that n is held to the table cap."""
+    runs to the last of them."""
     lo, hi = asymptotic.validity_region(n_parts)
     grid = range(int(math.floor(lo)) + 1, int(math.ceil(hi)))
     if not grid:
         raise DomainError(f"no integer n lies in the validity region ({lo}, {hi})")
-    _check_size("figure table n_max", grid.stop - 1)
     return grid
 
 
@@ -273,9 +260,7 @@ def cmd_figure(args) -> int:
     if fid in (1, 2, 3, 4):
         s = 1 if fid in (1, 3) else 2
         distinct = fid in (3, 4)
-        n_max = args.max if args.max is not None else 1000
-        if n_max < 1:
-            raise DomainError("need --max >= 1")
+        n_max = integer("--max", args.max if args.max is not None else 1000, 1)
         table, model = _table_and_model(s, distinct, n_max)
         rows = [
             (n, table.counts[n], asymptotic.rho_unrestricted(model, float(n)))

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterator
 
-from .errors import DomainError, EnumerationOverflowError, ResourceLimitError
-from .limits import MAX_TABLE_ENV, max_table_size
+from .errors import EnumerationOverflowError
+from .limits import integer, table_size
 
 @dataclass(frozen=True)
 class SpectrumSpec:
@@ -37,13 +37,9 @@ class SpectrumSpec:
     max_parts: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.s, int) or self.s < 1:
-            raise DomainError(f"exponent s must be an integer >= 1, got {self.s!r}")
+        integer("s", self.s, 1)
         if self.max_parts is not None:
-            if not isinstance(self.max_parts, int) or self.max_parts < 1:
-                raise DomainError(
-                    f"max_parts must be a positive integer or None, got {self.max_parts!r}"
-                )
+            integer("max_parts", self.max_parts, 1)
 
     def part_values(self, limit: int) -> list[int]:
         """All allowed part values m**s <= limit, in increasing order."""
@@ -85,13 +81,7 @@ def build_table(spec: SpectrumSpec, n_max: int) -> PartitionTable:
     its variant for d(n), and the exactly-k recurrences once the number of
     parts is capped.  Every s >= 2 spec goes through :func:`_knapsack`.
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    cap = max_table_size()
-    if n_max > cap:
-        raise ResourceLimitError(
-            f"n_max={n_max} exceeds the table cap {cap} (override with {MAX_TABLE_ENV})"
-        )
+    table_size("n_max", n_max)
     if spec.s != 1:
         counts = _knapsack(spec, n_max)
     elif spec.max_parts is not None:
@@ -213,8 +203,7 @@ def _at_most_parts(n_parts: int, distinct: bool, n_max: int) -> list[int]:
 
 def count(spec: SpectrumSpec, n: int) -> int:
     """Exact number of partitions of n described by `spec`.  Pure."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
+    integer("n", n, 0)
     return build_table(spec, n).counts[n]
 
 
@@ -223,8 +212,7 @@ def iter_partitions(spec: SpectrumSpec, n: int) -> Iterator[tuple[int, ...]]:
 
     Brute force by construction; intended as an independent oracle for small n.
     """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
+    integer("n", n, 0)
     values_desc = spec.part_values(n)[::-1]
     step = 1 if spec.distinct else 0
     prefix: list[int] = []
@@ -254,8 +242,7 @@ def enumerate_partitions(spec: SpectrumSpec, n: int, cap: int) -> list[list[int]
     Raises EnumerationOverflowError as soon as more than `cap` partitions
     exist, so callers cannot accidentally materialize a huge list.
     """
-    if not isinstance(cap, int) or cap < 1:
-        raise DomainError(f"cap must be a positive integer, got {cap!r}")
+    integer("cap", cap, 1)
     out: list[list[int]] = []
     for parts in iter_partitions(spec, n):
         if len(out) >= cap:
@@ -276,12 +263,11 @@ def conjugate_restricted_table(n_parts: int, n_max: int) -> list[int]:
     Kept as the oracle for the exactly-k recurrence of
     build_table(SpectrumSpec(1, False, n_parts), ...), which the audit
     identities conjugation_N* check it against; it is also the exact count
-    behind figure 5.
+    behind figure 5.  The tests hold it in turn to the finite product of
+    series.geometric_factor(v, n_max) over v = 1..N.
     """
-    if not isinstance(n_parts, int) or n_parts < 1:
-        raise DomainError(f"n_parts must be a positive integer, got {n_parts!r}")
-    if not isinstance(n_max, int) or n_max < 0:
-        raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    integer("n_parts", n_parts, 1)
+    table_size("n_max", n_max)
     return _add_parts([1] + [0] * n_max, range(1, min(n_parts, n_max) + 1))
 
 
@@ -292,8 +278,7 @@ def odd_parts_table(n_max: int) -> list[int]:
     oracle for the pentagonal route to d(n) in build_table(SpectrumSpec(1,
     True), ...), in the audit identity euler_odd_equals_distinct.
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    table_size("n_max", n_max)
     return _add_parts([1] + [0] * n_max, range(1, n_max + 1, 2))
 
 
@@ -311,10 +296,8 @@ def distinct_restricted_table(n_parts: int, n_max: int) -> list[int]:
     build_table(SpectrumSpec(1, True, n_parts), ...) in the audit identities
     staircase_decomposition_N*; it is also the exact count behind figure 6.
     """
-    if not isinstance(n_parts, int) or n_parts < 1:
-        raise DomainError(f"n_parts must be a positive integer, got {n_parts!r}")
-    if not isinstance(n_max, int) or n_max < 0:
-        raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    integer("n_parts", n_parts, 1)
+    table_size("n_max", n_max)
     base = [1] + [0] * n_max  # at most i parts; starts at i = 0
     out = [1] + [0] * n_max
     for i in range(1, n_parts + 1):

@@ -16,6 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .asymptotic import FERMI, BOSE, AsymptoticModel, rho_unrestricted
 from .counting import PartitionTable
 from .errors import DomainError, PrecisionLossError, SpecMismatchError
+from .limits import integer
 
 #: Largest integer a float represents exactly.
 FLOAT_EXACT_MAX = 2**53
@@ -46,7 +47,7 @@ def _exact_floats(table: PartitionTable, n_min: int) -> np.ndarray:
     Counts above 2**53 would not survive the float conversion at integer
     precision, so they raise instead of silently degrading.
     """
-    if n_min < 1 or n_min > table.n_max:
+    if integer("n_min", n_min, 1) > table.n_max:
         raise DomainError(f"n_min must lie in 1..{table.n_max}, got {n_min!r}")
     out = np.empty(table.n_max - n_min + 1)
     for idx, n in enumerate(range(n_min, table.n_max + 1)):
@@ -83,8 +84,7 @@ def amplitude_ratio(residual, smooth, window: int) -> np.ndarray:
     smooth = np.asarray(smooth, dtype=float)
     if residual.shape != smooth.shape:
         raise DomainError("residual and smooth sequences must have equal length")
-    if window < 3:
-        raise DomainError(f"window must be at least 3, got {window!r}")
+    integer("window", window, 3)
     if window > residual.size:
         raise DomainError(
             f"window {window} larger than sequence of length {residual.size}"

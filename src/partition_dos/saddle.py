@@ -27,6 +27,7 @@ import numpy as np
 
 from .asymptotic import BOSE, FERMI, eta, zeta
 from .errors import ConvergenceError, DomainError
+from .limits import integer, positive
 
 # exp(-37) < 1e-16: once beta * m**s passes this, further terms are dust.
 _TERM_CUTOFF = 37.0
@@ -52,17 +53,13 @@ class ThermoSpec:
     max_parts: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.s > 0:
-            raise DomainError(f"s must be positive, got {self.s!r}")
+        positive("s", self.s)
         if self.statistics not in (BOSE, FERMI):
             raise DomainError(
                 f"statistics must be {BOSE!r} or {FERMI!r}, got {self.statistics!r}"
             )
         if self.max_parts is not None:
-            if not isinstance(self.max_parts, int) or self.max_parts < 1:
-                raise DomainError(
-                    f"max_parts must be a positive integer or None, got {self.max_parts!r}"
-                )
+            integer("max_parts", self.max_parts, 1)
             if not (self.statistics == BOSE and self.s == 1):
                 raise DomainError("finite max_parts is exact only for bose statistics at s=1")
 
@@ -120,34 +117,32 @@ def _sum_terms(spec: ThermoSpec, beta: float) -> tuple[float, float, float, int]
     The levels are those with beta * m**s <= _TERM_CUTOFF, where the terms
     are still above 1e-16 (and m <= max_parts); they are summed with numpy
     in chunks of at most _CHUNK levels.  Raises ConvergenceError if that
-    would take _MAX_TERMS levels or more, which only happens for tiny beta,
-    or if the bose sum loses its first term: for beta below ~1.1e-16 the
-    float 1 - exp(-beta) is zero.
+    would take _MAX_TERMS levels or more, which only happens for tiny beta.
+    Each bose ln Z term is -ln(1 - e^-t) = -ln(-expm1(-t)), accurate to
+    ~1e-16 absolute for every t > 0, down to t = 5e-324.  Derivative sums
+    past the float range come out as inf, without a numpy warning; the
+    caller decides what an infinite sum means.
     """
-    if not beta > 0:
-        raise DomainError(f"beta must be positive, got {beta!r}")
+    positive("beta", beta)
     if beta > _TERM_CUTOFF:
         return 0.0, 0.0, 0.0, 0
     bose = spec.statistics == BOSE
     n_levels = _level_count(spec, beta)
-    if bose and math.exp(-beta) == 1.0:
-        raise ConvergenceError(
-            f"level sum at beta={beta} diverges in floats: exp(-beta) rounds to 1"
-        )
     lnz = dlnz = d2lnz = 0.0
-    for start in range(1, n_levels + 1, _CHUNK):
-        level = np.arange(start, min(start + _CHUNK, n_levels + 1), dtype=float) ** spec.s
-        t = beta * level
-        if bose:
-            em = np.expm1(t)  # e^t - 1, accurate for small t
-            lnz -= float(np.log1p(-np.exp(-t)).sum())
-            dlnz -= float((level / em).sum())
-            d2lnz += float((level * level * (1.0 + 1.0 / em) / em).sum())
-        else:
-            ex = np.exp(-t)
-            lnz += float(np.log1p(ex).sum())
-            dlnz -= float((level * ex / (1.0 + ex)).sum())
-            d2lnz += float((level * level * ex / (1.0 + ex) ** 2).sum())
+    with np.errstate(over="ignore", divide="ignore"):
+        for start in range(1, n_levels + 1, _CHUNK):
+            level = np.arange(start, min(start + _CHUNK, n_levels + 1), dtype=float) ** spec.s
+            t = beta * level
+            if bose:
+                em = np.expm1(t)  # e^t - 1, accurate for small t
+                lnz -= float(np.log(-np.expm1(-t)).sum())
+                dlnz -= float((level / em).sum())
+                d2lnz += float((level * level * (1.0 + 1.0 / em) / em).sum())
+            else:
+                ex = np.exp(-t)
+                lnz += float(np.log1p(ex).sum())
+                dlnz -= float((level * ex / (1.0 + ex)).sum())
+                d2lnz += float((level * level * ex / (1.0 + ex) ** 2).sum())
     return lnz, dlnz, d2lnz, n_levels
 
 
@@ -182,8 +177,7 @@ def find_saddle(spec: ThermoSpec, E: float) -> SaddleResult:
     E = 1000.  A step past hi is never exponentiated, as e^shift could
     overflow for such a small k.
     """
-    if E <= 0:
-        raise DomainError(f"E must be positive, got {E!r}")
+    positive("E", E)
     tol = _TOL_SCALE * E
 
     lo, hi = 0.0, _TERM_CUTOFF
@@ -201,7 +195,7 @@ def find_saddle(spec: ThermoSpec, E: float) -> SaddleResult:
         shift = (math.log(-dlnz) - math.log(E)) / k  # the Newton step in ln beta
         step = x * math.exp(shift) if shift < math.log(hi / x) else hi
         trusted = lo < step < hi and (lo > 0 or k >= 1.0)
-        x = step if trusted else (math.sqrt(lo * hi) if lo else 0.5 * hi)
+        x = step if trusted else (math.sqrt(lo) * math.sqrt(hi) if lo else 0.5 * hi)
     else:
         raise ConvergenceError(
             f"saddle refinement stalled at |S'|={abs(slope):.3e} (tol {tol:.3e})"
@@ -242,10 +236,8 @@ def single_particle_dos_s2(eps: float, q_max: int) -> DosSplit:
     the cosines all equal one and the partial sums grow with q_max,
     rebuilding the delta spike.
     """
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps!r}")
-    if q_max < 0:
-        raise DomainError(f"q_max must be nonnegative, got {q_max!r}")
+    positive("eps", eps)
+    integer("q_max", q_max, 0)
     root = math.sqrt(eps)
     smooth = 0.5 / root
     osc = 0.0
@@ -277,14 +269,10 @@ def entropy_poisson_s2(E: float, beta: float, q_max: int, l_max: int) -> Poisson
     falls below 1e-18 of the smooth entropy.  tail_bound estimates the
     first omitted q row.
     """
-    if E <= 0:
-        raise DomainError(f"E must be positive, got {E!r}")
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta!r}")
-    if q_max < 0:
-        raise DomainError(f"q_max must be nonnegative, got {q_max!r}")
-    if l_max < 1:
-        raise DomainError(f"l_max must be a positive integer, got {l_max!r}")
+    positive("E", E)
+    positive("beta", beta)
+    integer("q_max", q_max, 0)
+    integer("l_max", l_max, 1)
 
     d2 = math.gamma(1.5) * eta(1.5)
     smooth = beta * E + d2 / math.sqrt(beta) - 0.5 * math.log(2.0)

@@ -20,8 +20,8 @@ import operator
 from dataclasses import dataclass
 
 from . import counting
-from .errors import DegreeMismatchError, DomainError, ResourceLimitError
-from .limits import MAX_DEGREE_ENV, max_series_degree
+from .errors import DegreeMismatchError, DomainError
+from .limits import integer, series_degree
 
 
 class IntSeries:
@@ -35,8 +35,7 @@ class IntSeries:
         except TypeError as exc:
             raise DomainError(f"coefficients must be integers: {exc}") from exc
         if degree is not None:
-            if degree < 0:
-                raise DomainError(f"degree must be nonnegative, got {degree!r}")
+            integer("degree", degree, 0)
             coeffs = coeffs[: degree + 1] + [0] * (degree + 1 - len(coeffs))
         elif not coeffs:
             coeffs = [0]
@@ -57,8 +56,7 @@ class IntSeries:
 
     def shifted(self, k: int) -> "IntSeries":
         """Multiply by x**k, keeping the truncation degree."""
-        if k < 0:
-            raise DomainError(f"shift must be nonnegative, got {k!r}")
+        integer("shift", k, 0)
         d = self.degree
         if k > d:
             return IntSeries([0], d)
@@ -100,22 +98,10 @@ class IntSeries:
         return f"IntSeries({shown}{tail}, degree={self.degree})"
 
 
-def _check_degree(degree: int) -> None:
-    if not isinstance(degree, int) or degree < 0:
-        raise DomainError(f"degree must be a nonnegative integer, got {degree!r}")
-    cap = max_series_degree()
-    if degree > cap:
-        raise ResourceLimitError(
-            f"degree={degree} exceeds the series cap {cap} (override with {MAX_DEGREE_ENV})"
-        )
-
-
 def _factor_start(k: int, degree: int) -> list[int]:
     """Check a factor's arguments; return the coefficients of 1 to degree."""
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    _check_degree(degree)
-    return [1] + [0] * degree
+    integer("k", k, 1)
+    return [1] + [0] * series_degree(degree)
 
 
 def geometric_factor(k: int, degree: int) -> IntSeries:
@@ -142,28 +128,19 @@ def one_minus_power(k: int, degree: int) -> IntSeries:
     return IntSeries(coeffs)
 
 
-def _product(factor, s: int, degree: int, m_max: int | None = None) -> IntSeries:
+def _product(factor, s: int, degree: int) -> IntSeries:
     """Product of factor(v, degree) over the part values v <= degree of
-    counting.SpectrumSpec(s), the first m_max when set: the one product loop."""
+    counting.SpectrumSpec(s): the one product loop."""
     spec = counting.SpectrumSpec(s)
-    _check_degree(degree)
-    out = IntSeries([1], degree)
-    for v in spec.part_values(degree)[:m_max]:
+    out = IntSeries([1], series_degree(degree))
+    for v in spec.part_values(degree):
         out = out * factor(v, degree)
     return out
 
 
-def bose_gf(s: int, degree: int, m_max: int | None = None) -> IntSeries:
-    """Product of 1/(1 - x^(m**s)); coefficient of x^n counts multisets.
-
-    With m_max set, the product stops at m = m_max; for s = 1 that equals
-    the at-most-m_max-parts count by conjugation, which makes bose_gf(1, d,
-    m_max=N) the generating-function oracle for
-    counting.conjugate_restricted_table(N, d) in the tests.
-    """
-    if m_max is not None and (not isinstance(m_max, int) or m_max < 1):
-        raise DomainError(f"m_max must be a positive integer or None, got {m_max!r}")
-    return _product(geometric_factor, s, degree, m_max)
+def bose_gf(s: int, degree: int) -> IntSeries:
+    """Product of 1/(1 - x^(m**s)); coefficient of x^n counts multisets."""
+    return _product(geometric_factor, s, degree)
 
 
 def fermi_gf(s: int, degree: int) -> IntSeries:
@@ -181,10 +158,8 @@ def distinct_restricted_gf(n_parts: int, degree: int) -> IntSeries:
     it is the oracle for the full product fermi_gf(1, degree) in the audit
     identity staircase_series.
     """
-    if not isinstance(n_parts, int) or n_parts < 1:
-        raise DomainError(f"n_parts must be a positive integer, got {n_parts!r}")
-    _check_degree(degree)
-    out = prod = IntSeries([1], degree)
+    integer("n_parts", n_parts, 1)
+    out = prod = IntSeries([1], series_degree(degree))
     for i in range(1, n_parts + 1):
         tri = i * (i + 1) // 2
         if tri > degree:

@@ -1,11 +1,16 @@
-"""The names the benchmark in perfbench/ looks up in the package.
+"""The names the benchmark in perfbench/ looks up in the package, and its
+self-test.
 
 The layer tracer patches every function named in layertrace.TRACED, and the
 audit oracle expects the identity names in oracle.AUDIT_IDENTITIES.  A renamed
-or removed name would otherwise surface only in a traced benchmark run.
+or removed name would otherwise surface only in a traced benchmark run.  The
+self-test runs every workload at a smoke size through the benchmark's
+oracles, so output they reject, or an excused exception turned into a typed
+exit, fails here rather than in a benchmark run.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +53,10 @@ def test_traced_names_resolve_and_are_restored():
 def test_identity_names_match_the_audit_oracle():
     oracle = load("oracle")
     assert [name for name, *_ in series.identities(60)] == oracle.AUDIT_IDENTITIES
+
+
+def test_benchmark_selftest_passes():
+    done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

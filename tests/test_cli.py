@@ -325,6 +325,15 @@ def test_saddle_below_the_one_level_floor_is_solver_failure(capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_saddle_curvature_past_the_float_range_is_solver_failure(capsys):
+    # Ten levels at E = 1e300: beta0 ~ 1e-299, and S'' ~ 10 / beta0**2.
+    code = cli.main(["saddle", "--parts", "10", "--energies", "1e300"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NUMERIC
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

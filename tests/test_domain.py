@@ -1,0 +1,96 @@
+"""The input-domain policy of partition_dos.limits, entry point by entry point.
+
+Each public entry point rejects every argument outside its domain with a
+DomainError whose message starts "name=": an energy or inverse temperature
+must be a finite number > 0, a part cap or window an int at or above its
+lower bound, and a table size a nonnegative int.  A table size over
+PARTITION_DOS_MAX_N, inf included, raises ResourceLimitError instead.
+"""
+
+import math
+
+import pytest
+
+import partition_dos as pd
+from partition_dos.errors import DomainError, ResourceLimitError
+
+NAN, INF = math.nan, math.inf
+REAL = (NAN, INF, -INF, 0.0, -1.0)  # must be a finite number > 0
+PART = (NAN, INF, 0, -1, 2.5)  # must be an int >= 1 (>= 3 for a window)
+INDEX = (NAN, INF, -1, 2.5)  # must be an int >= 0
+SIZE = (NAN, -1, 2.5)  # a table size: int >= 0; inf is over the cap
+
+BOSE1 = pd.make_model(1, pd.BOSE)
+SHIFTED = pd.make_model(1, pd.BOSE, rademacher_shift=True)
+FERMI2 = pd.make_model(2, pd.FERMI)
+FREE = pd.ThermoSpec(1, pd.BOSE)
+
+# (entry point and argument, argument name, bad values, call with the value)
+CASES = [
+    ("rho_unrestricted[bose]", "E", REAL, lambda v: pd.rho_unrestricted(BOSE1, v)),
+    ("rho_unrestricted[shift]", "E", REAL, lambda v: pd.rho_unrestricted(SHIFTED, v)),
+    ("rho_unrestricted[fermi]", "E", REAL, lambda v: pd.rho_unrestricted(FERMI2, v)),
+    ("bose_density_s1", "E", REAL, pd.bose_density_s1),
+    ("bose_density_s2", "E", REAL, pd.bose_density_s2),
+    ("fermi_density_s1", "E", REAL, pd.fermi_density_s1),
+    ("erdos_lehner_factor.E", "E", REAL, lambda v: pd.erdos_lehner_factor(v, 5)),
+    ("erdos_lehner_factor.N", "n_parts", PART, lambda v: pd.erdos_lehner_factor(100.0, v)),
+    ("rho_restricted_bose.E", "E", REAL, lambda v: pd.rho_restricted_bose(v, 5)),
+    ("rho_restricted_bose.N", "n_parts", PART, lambda v: pd.rho_restricted_bose(100.0, v)),
+    ("rho_restricted_fermi.E", "E", REAL, lambda v: pd.rho_restricted_fermi(v, 5)),
+    ("rho_restricted_fermi.N", "n_parts", PART, lambda v: pd.rho_restricted_fermi(100.5, v)),
+    ("validity_region", "n_parts", PART, pd.validity_region),
+    ("find_saddle", "E", REAL, lambda v: pd.find_saddle(FREE, v)),
+    ("log_z", "beta", REAL, lambda v: pd.log_z(FREE, v)),
+    ("single_particle_dos_s2.eps", "eps", REAL, lambda v: pd.single_particle_dos_s2(v, 5)),
+    ("single_particle_dos_s2.q_max", "q_max", INDEX,
+     lambda v: pd.single_particle_dos_s2(2.0, v)),
+    ("entropy_poisson_s2.E", "E", REAL, lambda v: pd.entropy_poisson_s2(v, 0.1, 3, 3)),
+    ("entropy_poisson_s2.beta", "beta", REAL,
+     lambda v: pd.entropy_poisson_s2(100.0, v, 3, 3)),
+    ("entropy_poisson_s2.q_max", "q_max", INDEX,
+     lambda v: pd.entropy_poisson_s2(100.0, 0.1, v, 3)),
+    ("entropy_poisson_s2.l_max", "l_max", PART,
+     lambda v: pd.entropy_poisson_s2(100.0, 0.1, 3, v)),
+    ("amplitude_ratio.window", "window", PART,
+     lambda v: pd.amplitude_ratio([0.0] * 10, [1.0] * 10, v)),
+    ("conjugate_restricted_table.N", "n_parts", PART,
+     lambda v: pd.conjugate_restricted_table(v, 10)),
+    ("conjugate_restricted_table.n_max", "n_max", SIZE,
+     lambda v: pd.conjugate_restricted_table(3, v)),
+    ("odd_parts_table", "n_max", SIZE, pd.odd_parts_table),
+    ("distinct_restricted_table.N", "n_parts", PART,
+     lambda v: pd.distinct_restricted_table(v, 10)),
+    ("distinct_restricted_table.n_max", "n_max", SIZE,
+     lambda v: pd.distinct_restricted_table(3, v)),
+]
+
+ROWS = [
+    pytest.param(name, call, value, id=f"{case}-{value!r}")
+    for case, name, values, call in CASES
+    for value in values
+]
+
+
+@pytest.mark.parametrize("name, call, value", ROWS)
+def test_outside_the_domain_is_domain_error(name, call, value):
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert str(info.value).startswith(f"{name}={value!r} ")
+
+
+TABLES = [
+    lambda n: pd.conjugate_restricted_table(3, n),
+    pd.odd_parts_table,
+    lambda n: pd.distinct_restricted_table(3, n),
+]
+
+
+@pytest.mark.parametrize("table", TABLES, ids=["conjugate", "odd", "distinct"])
+def test_oracle_tables_obey_the_table_cap(table, monkeypatch):
+    with pytest.raises(ResourceLimitError):
+        table(INF)
+    monkeypatch.setenv("PARTITION_DOS_MAX_N", "50")
+    assert len(table(50)) == 51
+    with pytest.raises(ResourceLimitError):
+        table(51)

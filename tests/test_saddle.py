@@ -92,7 +92,7 @@ def _loop_sums(spec, beta):
             break
         if bose:
             em = math.expm1(t)
-            lnz -= math.log1p(-math.exp(-t))
+            lnz -= math.log(-math.expm1(-t))
             dlnz -= level / em
             d2lnz += level * level * (1.0 + 1.0 / em) / em
         else:
@@ -166,13 +166,16 @@ def test_term_cap_boundary(monkeypatch, s):
             route(pd.ThermoSpec(1, pd.BOSE, k), 1e-6)
 
 
-@pytest.mark.parametrize("beta", [1e-17, 5e-324])
-def test_level_sum_below_float_resolution_is_typed(beta):
-    # 1 - exp(-beta) rounds to 0: the first bose term is -log(0).
+def test_level_sum_below_float_resolution_stays_accurate():
+    # exp(-beta) rounds to 1 here, but -expm1(-t) keeps every bose term:
+    # ln Z = -sum ln(1 - e^(-beta m)) -> -sum ln(beta m) as beta -> 0.
+    spec = pd.ThermoSpec(1, pd.BOSE, 10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError):
-            pd.log_z(pd.ThermoSpec(1, pd.BOSE, 10), beta)
+        small = pd.log_z(spec, 1e-17)
+        smallest = pd.log_z(spec, 5e-324)
+    assert small == pytest.approx(-sum(math.log(1e-17 * m) for m in range(1, 11)), rel=1e-12)
+    assert math.isfinite(smallest) and smallest > small
 
 
 @pytest.mark.parametrize("s", [1e-4, 1e-3, 1e-300])
@@ -240,11 +243,26 @@ def test_plateau_step_is_not_exponentiated():
 
 
 def test_curvature_beyond_float_range_is_typed():
-    # At E = 1e171 the saddle's S'' ~ E**2 is past 1.8e308.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(ConvergenceError, match="exceeds the float range"):
-            pd.find_saddle(pd.ThermoSpec(60, pd.FERMI), 1e171)
+    # At E = 1e171 the saddle's S'' ~ E**2 is past 1.8e308.  The overflowing
+    # sums raise no numpy warning (pytest turns warnings into errors).
+    with pytest.raises(ConvergenceError, match="exceeds the float range"):
+        pd.find_saddle(pd.ThermoSpec(60, pd.FERMI), 1e171)
+
+
+def test_overflow_in_intermediate_iterates_is_silent():
+    # Levels m**60 above ~1.3e154 square past the float range on the way to
+    # beta0 ~ 4e-153; the solve still ends finite, without a warning.
+    res = pd.find_saddle(pd.ThermoSpec(60, pd.FERMI), 1e153)
+    assert math.isfinite(res.curvature) and math.isfinite(res.density)
+
+
+def test_capped_bose_saddle_below_float_resolution():
+    # beta0 ~ 1e-14 and 1e-17, where exp(-beta) rounds to 1.  The density
+    # at E = 1e15 is the 50-digit mpmath value of the same Gaussian formula.
+    spec = pd.ThermoSpec(1, pd.BOSE, 10)
+    assert pd.find_saddle(spec, 1e15).density == pytest.approx(7.657585454152229e122, rel=1e-12)
+    # N levels with beta m << 1: <E> = N/beta - N(N+1)/4, so beta0 = N/(E + 27.5).
+    assert pd.find_saddle(spec, 1e18).beta0 == pytest.approx(10 / (1e18 + 27.5), rel=1e-12)
 
 
 def test_saddle_location_near_closed_form():

@@ -83,7 +83,6 @@ def test_add_and_result_degree():
 def test_bose_gf_examples():
     assert pd.bose_gf(1, 5).coeffs == (1, 1, 2, 3, 5, 7)
     assert pd.bose_gf(2, 5).coeffs == (1, 1, 1, 1, 2, 2)
-    assert pd.bose_gf(1, 5, m_max=1).coeffs == (1, 1, 1, 1, 1, 1)
 
 
 def test_fermi_gf_examples():
@@ -106,10 +105,19 @@ def test_gf_coefficients_match_tables():
         assert gf.coeffs == table
 
 
+def _finite_product(n_parts, degree):
+    """prod_{v <= n_parts} 1/(1 - x^v): parts of size at most n_parts."""
+    out = pd.IntSeries([1], degree)
+    for v in range(1, n_parts + 1):
+        out = out * pd.geometric_factor(v, degree)
+    return out
+
+
 def test_finite_product_matches_conjugate_count():
-    for m_max in (1, 3, 12):
-        gf = pd.bose_gf(1, 120, m_max=m_max)
-        assert list(gf.coeffs) == pd.conjugate_restricted_table(m_max, 120)
+    assert _finite_product(1, 5).coeffs == (1, 1, 1, 1, 1, 1)
+    for n_parts in (1, 3, 12):
+        gf = _finite_product(n_parts, 120)
+        assert list(gf.coeffs) == pd.conjugate_restricted_table(n_parts, 120)
 
 
 def test_truncation_consistency():
