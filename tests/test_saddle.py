@@ -166,16 +166,16 @@ def test_term_cap_boundary(monkeypatch, s):
             route(pd.ThermoSpec(1, pd.BOSE, k), 1e-6)
 
 
-def test_level_sum_below_float_resolution_stays_accurate():
-    # exp(-beta) rounds to 1 here, but -expm1(-t) keeps every bose term:
+@pytest.mark.parametrize("beta", [1e-17, 5e-324])
+def test_level_sum_below_float_resolution_is_typed(beta):
+    # exp(-beta) rounds to 1 here, but -expm1(-t) keeps every bose term, so
+    # ln Z is a finite float with no numpy warning and no ConvergenceError:
     # ln Z = -sum ln(1 - e^(-beta m)) -> -sum ln(beta m) as beta -> 0.
-    spec = pd.ThermoSpec(1, pd.BOSE, 10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        small = pd.log_z(spec, 1e-17)
-        smallest = pd.log_z(spec, 5e-324)
-    assert small == pytest.approx(-sum(math.log(1e-17 * m) for m in range(1, 11)), rel=1e-12)
-    assert math.isfinite(smallest) and smallest > small
+        value = pd.log_z(pd.ThermoSpec(1, pd.BOSE, 10), beta)
+    assert isinstance(value, float) and math.isfinite(value)
+    assert value == pytest.approx(-sum(math.log(beta * m) for m in range(1, 11)), rel=1e-12)
 
 
 @pytest.mark.parametrize("s", [1e-4, 1e-3, 1e-300])
