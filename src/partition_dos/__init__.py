@@ -32,12 +32,9 @@ from .counting import (
 )
 from .errors import (
     ConvergenceError,
-    DegreeMismatchError,
     DomainError,
-    EnumerationOverflowError,
     PrecisionLossError,
     ResourceLimitError,
-    SpecMismatchError,
 )
 from .fluctuation import (
     FluctuationReport,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import counting
 from .errors import DomainError
-from .limits import integer, positive
+from .limits import integer, one_of, positive
 
 BOSE = "bose"
 FERMI = "fermi"
@@ -82,8 +82,7 @@ class AsymptoticModel:
 
 def make_model(s: float, statistics: str, rademacher_shift: bool = False) -> AsymptoticModel:
     positive("s", s)
-    if statistics not in (BOSE, FERMI):
-        raise DomainError(f"statistics must be {BOSE!r} or {FERMI!r}, got {statistics!r}")
+    one_of("statistics", statistics, (BOSE, FERMI))
     if rademacher_shift and not (statistics == BOSE and s == 1):
         raise DomainError("the -1/24 shift applies only to s=1 multiset counting")
     s = float(s)

@@ -86,6 +86,8 @@ def _energy_grid(args) -> list[float]:
             grid = [float(tok) for tok in args.energies.split(",") if tok.strip()]
         except ValueError as exc:
             raise DomainError(f"bad --energies list: {exc}") from exc
+        if not grid:
+            raise DomainError(f"--energies={args.energies!r} lists no energy")
         table_size("energy grid length", len(grid))
         return grid
     if args.max is None:
@@ -190,14 +192,19 @@ def _table_and_model(s: int, distinct: bool, n_max: int, shift: bool = False):
     return counting.build_table(spec, n_max), model
 
 
+def _exact_rows(table, model, n_min: int, n_max: int):
+    """Yield (n, exact, asymptote) for n = n_min .. n_max: the rows where
+    the exact counts meet the smooth curve, in compare and figures 1-4."""
+    for n in range(n_min, n_max + 1):
+        yield n, table.counts[n], asymptotic.rho_unrestricted(model, float(n))
+
+
 def cmd_compare(args) -> int:
     if args.min < 1 or args.min > args.max:
         raise DomainError("need 1 <= --min <= --max")
     table, model = _table_and_model(args.s, args.distinct, args.max, args.shift)
     rows = []
-    for n in range(args.min, args.max + 1):
-        exact = table.counts[n]
-        smooth = asymptotic.rho_unrestricted(model, float(n))
+    for n, exact, smooth in _exact_rows(table, model, args.min, args.max):
         try:
             rel = (smooth - exact) / exact
         except OverflowError as exc:
@@ -262,12 +269,9 @@ def cmd_figure(args) -> int:
         distinct = fid in (3, 4)
         n_max = integer("--max", args.max if args.max is not None else 1000, 1)
         table, model = _table_and_model(s, distinct, n_max)
-        rows = [
-            (n, table.counts[n], asymptotic.rho_unrestricted(model, float(n)))
-            for n in range(1, n_max + 1)
-        ]
         meta = _meta("figure", id=fid, s=s, distinct=distinct, max=n_max)
-        write_dataset(meta, ["n", "exact", "asymptote"], rows, args)
+        write_dataset(meta, ["n", "exact", "asymptote"],
+                      list(_exact_rows(table, model, 1, n_max)), args)
         return EXIT_OK
 
     if fid in (5, 6):

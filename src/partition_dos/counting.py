@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterator
 
-from .errors import EnumerationOverflowError
+from .errors import ResourceLimitError
 from .limits import integer, table_size
 
 @dataclass(frozen=True)
@@ -239,14 +239,14 @@ def iter_partitions(spec: SpectrumSpec, n: int) -> Iterator[tuple[int, ...]]:
 def enumerate_partitions(spec: SpectrumSpec, n: int, cap: int) -> list[list[int]]:
     """Exhaustive, duplicate-free list of partitions of n (descending parts).
 
-    Raises EnumerationOverflowError as soon as more than `cap` partitions
+    Raises ResourceLimitError as soon as more than `cap` partitions
     exist, so callers cannot accidentally materialize a huge list.
     """
     integer("cap", cap, 1)
     out: list[list[int]] = []
     for parts in iter_partitions(spec, n):
         if len(out) >= cap:
-            raise EnumerationOverflowError(
+            raise ResourceLimitError(
                 f"more than {cap} partitions of n={n} for {spec}"
             )
         out.append(list(parts))

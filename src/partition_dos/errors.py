@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per CLI exit code class.
+
+DomainError and PrecisionLossError are usage errors (exit 2),
+ResourceLimitError is a resource cap (exit 3) and ConvergenceError a
+numeric solver failure (exit 4).
+"""
 
 
 class DomainError(ValueError):
@@ -9,20 +14,8 @@ class ResourceLimitError(RuntimeError):
     """A requested computation exceeds a configured resource cap."""
 
 
-class EnumerationOverflowError(RuntimeError):
-    """Exhaustive enumeration would produce more partitions than the caller's cap."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative numerical procedure failed to converge within its budget."""
-
-
-class SpecMismatchError(ValueError):
-    """Two objects that must describe the same counting problem do not."""
-
-
-class DegreeMismatchError(ValueError):
-    """Two series that must share a truncation degree do not."""
 
 
 class PrecisionLossError(OverflowError):

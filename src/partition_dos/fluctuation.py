@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .asymptotic import FERMI, BOSE, AsymptoticModel, rho_unrestricted
 from .counting import PartitionTable
-from .errors import DomainError, PrecisionLossError, SpecMismatchError
+from .errors import DomainError, PrecisionLossError
 from .limits import integer
 
 #: Largest integer a float represents exactly.
@@ -25,15 +25,15 @@ FLOAT_EXACT_MAX = 2**53
 def _check_match(table: PartitionTable, model: AsymptoticModel) -> None:
     spec = table.spec
     if float(spec.s) != model.s:
-        raise SpecMismatchError(f"table has s={spec.s} but model has s={model.s}")
+        raise DomainError(f"table has s={spec.s} but model has s={model.s}")
     expected = FERMI if spec.distinct else BOSE
     if model.statistics != expected:
-        raise SpecMismatchError(
+        raise DomainError(
             f"table distinct={spec.distinct} needs {expected!r} statistics, "
             f"model has {model.statistics!r}"
         )
     if spec.max_parts is not None:
-        raise SpecMismatchError("residuals compare against the unbounded smooth curve")
+        raise DomainError("residuals compare against the unbounded smooth curve")
 
 
 def smooth_curve(model: AsymptoticModel, n_values) -> np.ndarray:

@@ -8,6 +8,8 @@ helpers, so one kind of argument gets one rule and one message,
   (:func:`positive`);
 * a part cap, count or index is a Python int at or above its lower bound
   (:func:`integer`);
+* a choice such as the statistics is one of a fixed set of options
+  (:func:`one_of`);
 * a table or grid size is a nonnegative int at most PARTITION_DOS_MAX_N,
   and a series degree one at most PARTITION_DOS_MAX_DEGREE
   (:func:`table_size`, :func:`series_degree`).
@@ -30,29 +32,6 @@ DEFAULT_MAX_TABLE = 200_000
 DEFAULT_MAX_DEGREE = 20_000
 
 
-def _read(env_name: str, default: int) -> int:
-    raw = os.environ.get(env_name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise DomainError(f"{env_name} must be a nonnegative integer, got {raw!r}")
-    return value
-
-
-def max_table_size() -> int:
-    """Largest n_max accepted when building an exact count table."""
-    return _read(MAX_TABLE_ENV, DEFAULT_MAX_TABLE)
-
-
-def max_series_degree() -> int:
-    """Largest truncation degree accepted by the series builders."""
-    return _read(MAX_DEGREE_ENV, DEFAULT_MAX_DEGREE)
-
-
 def integer(name: str, value, low: int) -> int:
     """value if it is an int >= low, else DomainError."""
     if not isinstance(value, int) or value < low:
@@ -67,7 +46,21 @@ def positive(name: str, value) -> float:
     return value
 
 
-def _capped(what: str, size, cap: int, env_name: str):
+def one_of(name: str, value, options: tuple):
+    """value if it equals one of options, else DomainError."""
+    if value not in options:
+        raise DomainError(f"{name}={value!r} is not one of {options!r}")
+    return value
+
+
+def _capped(what: str, size, env_name: str, default: int):
+    raw = os.environ.get(env_name)
+    try:
+        cap = default if raw is None else int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise DomainError(f"{env_name} must be a nonnegative integer, got {raw!r}")
     # An infinite size (a float range past the float limits) is over any cap.
     if size == math.inf or integer(what, size, 0) > cap:
         raise ResourceLimitError(
@@ -82,9 +75,9 @@ def table_size(what: str, size) -> int:
     Over the cap, including inf, raises ResourceLimitError; anything else
     that is not such an int raises DomainError.
     """
-    return _capped(what, size, max_table_size(), MAX_TABLE_ENV)
+    return _capped(what, size, MAX_TABLE_ENV, DEFAULT_MAX_TABLE)
 
 
 def series_degree(degree) -> int:
     """degree if it is a nonnegative int within PARTITION_DOS_MAX_DEGREE."""
-    return _capped("degree", degree, max_series_degree(), MAX_DEGREE_ENV)
+    return _capped("degree", degree, MAX_DEGREE_ENV, DEFAULT_MAX_DEGREE)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .asymptotic import BOSE, FERMI, eta, zeta
 from .errors import ConvergenceError, DomainError
-from .limits import integer, positive
+from .limits import integer, one_of, positive
 
 # exp(-37) < 1e-16: once beta * m**s passes this, further terms are dust.
 _TERM_CUTOFF = 37.0
@@ -54,10 +54,7 @@ class ThermoSpec:
 
     def __post_init__(self) -> None:
         positive("s", self.s)
-        if self.statistics not in (BOSE, FERMI):
-            raise DomainError(
-                f"statistics must be {BOSE!r} or {FERMI!r}, got {self.statistics!r}"
-            )
+        one_of("statistics", self.statistics, (BOSE, FERMI))
         if self.max_parts is not None:
             integer("max_parts", self.max_parts, 1)
             if not (self.statistics == BOSE and self.s == 1):

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 
 from . import counting
-from .errors import DegreeMismatchError, DomainError
+from .errors import DomainError
 from .limits import integer, series_degree
 
 
@@ -191,9 +191,7 @@ def first_mismatch(lhs, rhs) -> int | None:
 def verify_identity(lhs: IntSeries, rhs: IntSeries) -> IdentityReport:
     """Compare two series sharing a truncation degree."""
     if lhs.degree != rhs.degree:
-        raise DegreeMismatchError(
-            f"degrees differ: {lhs.degree} vs {rhs.degree}"
-        )
+        raise DomainError(f"degrees differ: {lhs.degree} vs {rhs.degree}")
     n = first_mismatch(lhs.coeffs, rhs.coeffs)
     return IdentityReport(n is None, n, lhs.degree)
 
@@ -209,8 +207,10 @@ def identities(degree: int):
     exactly-k recurrences, and Euler's distinct = odd parts in table and
     product form.  Each product is built once and read by every identity
     that needs it.  The names and their order are the output contract of
-    the `audit` command.
+    the `audit` command.  The degree is checked against its cap before
+    the first table is built.
     """
+    series_degree(degree)
 
     def table(s: int, distinct: bool, n_parts: int | None = None) -> tuple[int, ...]:
         spec = counting.SpectrumSpec(s, distinct, n_parts)

@@ -1,16 +1,16 @@
 import json
 import math
+import shlex
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import partition_dos as pd
-from partition_dos import cli
+from partition_dos import cli, counting, errors
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "output_schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "output_schema.json").read_text())
 
 
 def run(capsys, argv):
@@ -229,6 +229,26 @@ def test_resource_cap_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "degree, code, err",
+    [
+        ("300000", cli.EXIT_RESOURCE, "resource limit: degree=300000 exceeds the cap 20000 "
+                                      "(override with PARTITION_DOS_MAX_DEGREE)\n"),
+        ("-1", cli.EXIT_USAGE, "error: degree=-1 is not an integer >= 0\n"),
+    ],
+    ids=["over-cap", "negative"],
+)
+def test_audit_checks_its_degree_before_any_table(capsys, monkeypatch, degree, code, err):
+    monkeypatch.delenv("PARTITION_DOS_MAX_DEGREE", raising=False)
+
+    def no_table(*args):
+        raise AssertionError("a table was built before the degree check")
+
+    monkeypatch.setattr(counting, "build_table", no_table)
+    assert cli.main(["audit", "--degree", degree]) == code
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize(
     "env, argv",
     [
         ("PARTITION_DOS_MAX_N", ["exact", "--max", "300000"]),
@@ -292,10 +312,12 @@ def test_exponent_too_large_for_the_model_is_usage_error(capsys, s):
 @pytest.mark.parametrize(
     "argv",
     [["figure", "5", "--parts", "1"], ["figure", "6", "--parts", "1"]]
-    + [["figure", fid, "--max", "0"] for fid in ("1", "2", "3", "4")],
+    + [["figure", fid, "--max", "0"] for fid in ("1", "2", "3", "4")]
+    + [["asym", "--energies", ","], ["saddle", "--energies", ","]],
 )
 def test_empty_figure_dataset_is_usage_error(capsys, argv):
-    # C1 < n < C1 * 1**2 holds no integer; --max 0 leaves n = 1..0.
+    # C1 < n < C1 * 1**2 holds no integer; --max 0 leaves n = 1..0; the
+    # energy list "," names no energy.
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == cli.EXIT_USAGE
@@ -386,3 +408,53 @@ def test_parser_is_built_once_and_reusable(capsys):
         in_sequence.append((code, *capsys.readouterr()))
     assert in_sequence == alone
     assert [code for code, _, _ in alone] == [cli.EXIT_USAGE, cli.EXIT_OK, cli.EXIT_OK]
+
+
+# Each exception type of partition_dos.errors and the exit code cli.main
+# gives it.
+EXIT_CODE_OF = {
+    errors.DomainError: cli.EXIT_USAGE,
+    errors.PrecisionLossError: cli.EXIT_USAGE,
+    errors.ResourceLimitError: cli.EXIT_RESOURCE,
+    errors.ConvergenceError: cli.EXIT_NUMERIC,
+}
+ERROR_TYPES = [value for value in vars(errors).values()
+               if isinstance(value, type) and value.__module__ == errors.__name__]
+
+
+def test_errors_defines_one_type_per_exit_code_class():
+    assert set(ERROR_TYPES) == set(EXIT_CODE_OF)
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda error: error.__name__)
+def test_every_error_type_maps_to_an_exit_code(capsys, monkeypatch, error):
+    def raising(*args):
+        raise error("raised inside a command")
+
+    monkeypatch.setattr(counting, "build_table", raising)
+    code = cli.main(["exact", "--max", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CODE_OF.get(error)
+    assert captured.out == ""
+    assert captured.err.endswith(": raised inside a command\n")
+    assert captured.err.count("\n") == 1
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each `partition-dos ...` line in README's Command line block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("partition-dos ")]
+
+
+def test_readme_command_lines_run(capsys):
+    commands = readme_commands()
+    assert commands
+    failed = []
+    for argv in commands:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        if code != cli.EXIT_OK or not captured.out or captured.err:
+            failed.append((argv, code, captured.err))
+    assert failed == []

@@ -4,11 +4,7 @@ from hypothesis import strategies as st
 
 import partition_dos as pd
 from partition_dos import counting
-from partition_dos.errors import (
-    DomainError,
-    EnumerationOverflowError,
-    ResourceLimitError,
-)
+from partition_dos.errors import DomainError, ResourceLimitError
 
 
 @pytest.mark.parametrize(
@@ -81,7 +77,7 @@ def test_enumerate_is_duplicate_free_and_sums_match():
 
 
 def test_enumerate_cap_overflow():
-    with pytest.raises(EnumerationOverflowError):
+    with pytest.raises(ResourceLimitError, match=r"^more than 10 partitions of n=30 for "):
         pd.enumerate_partitions(pd.SpectrumSpec(1), 30, 10)
 
 

@@ -3,7 +3,8 @@
 Each public entry point rejects every argument outside its domain with a
 DomainError whose message starts "name=": an energy or inverse temperature
 must be a finite number > 0, a part cap or window an int at or above its
-lower bound, and a table size a nonnegative int.  A table size over
+lower bound, the statistics 'bose' or 'fermi', and a table size a
+nonnegative int.  A table size over
 PARTITION_DOS_MAX_N, inf included, raises ResourceLimitError instead.
 """
 
@@ -19,6 +20,7 @@ REAL = (NAN, INF, -INF, 0.0, -1.0)  # must be a finite number > 0
 PART = (NAN, INF, 0, -1, 2.5)  # must be an int >= 1 (>= 3 for a window)
 INDEX = (NAN, INF, -1, 2.5)  # must be an int >= 0
 SIZE = (NAN, -1, 2.5)  # a table size: int >= 0; inf is over the cap
+STATS = ("boson", "BOSE", "", None)  # must be pd.BOSE or pd.FERMI
 
 BOSE1 = pd.make_model(1, pd.BOSE)
 SHIFTED = pd.make_model(1, pd.BOSE, rademacher_shift=True)
@@ -27,6 +29,8 @@ FREE = pd.ThermoSpec(1, pd.BOSE)
 
 # (entry point and argument, argument name, bad values, call with the value)
 CASES = [
+    ("make_model", "statistics", STATS, lambda v: pd.make_model(1, v)),
+    ("ThermoSpec", "statistics", STATS, lambda v: pd.ThermoSpec(1, v)),
     ("rho_unrestricted[bose]", "E", REAL, lambda v: pd.rho_unrestricted(BOSE1, v)),
     ("rho_unrestricted[shift]", "E", REAL, lambda v: pd.rho_unrestricted(SHIFTED, v)),
     ("rho_unrestricted[fermi]", "E", REAL, lambda v: pd.rho_unrestricted(FERMI2, v)),
