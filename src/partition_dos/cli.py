@@ -16,7 +16,7 @@ import json
 import math
 import sys
 
-from . import __version__, asymptotic, counting, fluctuation, saddle, series
+from . import __version__, asymptotic, counting, series
 from .errors import ConvergenceError, DomainError, PrecisionLossError, ResourceLimitError
 from .limits import integer, table_size
 
@@ -168,6 +168,8 @@ def cmd_asym(args) -> int:
 
 
 def cmd_saddle(args) -> int:
+    from . import saddle  # saddle and fluctuation import numpy: load them on use
+
     spec = saddle.ThermoSpec(args.s, args.statistics, args.parts)
     rows = []
     for e in _energy_grid(args):
@@ -219,6 +221,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_fluct(args) -> int:
+    from . import fluctuation
+
     table, model = _table_and_model(args.s, args.distinct, args.max)
     report = fluctuation.analyze(
         table, model, window=args.window, n_min=args.min, spectrum=args.spectrum

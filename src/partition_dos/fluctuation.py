@@ -47,8 +47,7 @@ def _exact_floats(table: PartitionTable, n_min: int) -> np.ndarray:
     Counts above 2**53 would not survive the float conversion at integer
     precision, so they raise instead of silently degrading.
     """
-    if integer("n_min", n_min, 1) > table.n_max:
-        raise DomainError(f"n_min must lie in 1..{table.n_max}, got {n_min!r}")
+    integer("n_min", n_min, 1, table.n_max)
     out = np.empty(table.n_max - n_min + 1)
     for idx, n in enumerate(range(n_min, table.n_max + 1)):
         c = table.counts[n]
@@ -84,11 +83,7 @@ def amplitude_ratio(residual, smooth, window: int) -> np.ndarray:
     smooth = np.asarray(smooth, dtype=float)
     if residual.shape != smooth.shape:
         raise DomainError("residual and smooth sequences must have equal length")
-    integer("window", window, 3)
-    if window > residual.size:
-        raise DomainError(
-            f"window {window} larger than sequence of length {residual.size}"
-        )
+    integer("window", window, 3, residual.size)
     peaks = sliding_window_view(np.abs(residual), window).max(axis=1)
     return peaks / sliding_window_view(smooth, window).mean(axis=1)
 

@@ -6,8 +6,8 @@ helpers, so one kind of argument gets one rule and one message,
 
 * an energy, inverse temperature or level energy is a finite number > 0
   (:func:`positive`);
-* a part cap, count or index is a Python int at or above its lower bound
-  (:func:`integer`);
+* a part cap, count or index is a Python int at or above its lower bound,
+  and at most its upper bound where it has one (:func:`integer`);
 * a choice such as the statistics is one of a fixed set of options
   (:func:`one_of`);
 * a table or grid size is a nonnegative int at most PARTITION_DOS_MAX_N,
@@ -32,10 +32,11 @@ DEFAULT_MAX_TABLE = 200_000
 DEFAULT_MAX_DEGREE = 20_000
 
 
-def integer(name: str, value, low: int) -> int:
-    """value if it is an int >= low, else DomainError."""
-    if not isinstance(value, int) or value < low:
-        raise DomainError(f"{name}={value!r} is not an integer >= {low}")
+def integer(name: str, value, low: int, high: int | None = None) -> int:
+    """value if it is an int >= low (and <= high, if given), else DomainError."""
+    if not isinstance(value, int) or value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise DomainError(f"{name}={value!r} is not an integer {bounds}")
     return value
 
 

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 import partition_dos
-from partition_dos import cli, series  # noqa: F401  (cli is a traced layer)
+from partition_dos import cli, fluctuation, saddle, series  # noqa: F401  (traced layers)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

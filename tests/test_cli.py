@@ -1,6 +1,11 @@
+import importlib
 import json
 import math
+import os
+import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -265,6 +270,19 @@ def test_malformed_cap_override_is_usage_error(capsys, monkeypatch, env, argv, r
     assert captured.err == f"error: {env} must be a nonnegative integer, got {raw!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--max", "100", "--min", "200"], "error: n_min=200 is not an integer in 1..100\n"),
+        (["--max", "10"], "error: window=50 is not an integer in 3..10\n"),
+    ],
+    ids=["min-above-max", "window-above-length"],
+)
+def test_fluct_range_errors_name_the_argument(capsys, argv, err):
+    assert cli.main(["fluct", "--s", "2", "--distinct", *argv]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", err)
+
+
 def test_version_flag(capsys):
     assert cli.main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == pd.__version__
@@ -458,3 +476,87 @@ def test_readme_command_lines_run(capsys):
         if code != cli.EXIT_OK or not captured.out or captured.err:
             failed.append((argv, code, captured.err))
     assert failed == []
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# Runs cli.main on its argv (or only imports the package, given none) and
+# prints whether numpy was imported on the last line.
+COLD_START = """\
+import sys
+import partition_dos
+if sys.argv[1:]:
+    from partition_dos import cli
+    assert cli.main(sys.argv[1:]) == 0
+print("numpy" in sys.modules)
+"""
+
+COLD_STARTS = [
+    ([], False),
+    (["exact", "--max", "5"], False),
+    (["compare", "--max", "30"], False),
+    (["audit", "--degree", "20"], False),
+    (["asym", "--max", "5"], False),
+    (["figure", "1", "--max", "50"], False),
+    (["saddle", "--energies", "100"], True),
+    (["fluct", "--s", "2", "--distinct", "--max", "300"], True),
+]
+
+
+@pytest.mark.parametrize("argv, loads_numpy", COLD_STARTS,
+                         ids=[" ".join(argv) or "import" for argv, _ in COLD_STARTS])
+def test_cold_start_loads_numpy_only_for_numeric_commands(argv, loads_numpy):
+    done = fresh_python(COLD_START, *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(loads_numpy)
+
+
+# The names the package exports from its numpy modules, loaded on first use.
+LAZY_EXPORTS = {
+    "saddle": ("DosSplit", "PoissonEntropy", "SaddleResult", "ThermoSpec", "entropy",
+               "entropy_poisson_s2", "find_saddle", "log_z", "single_particle_dos_s2"),
+    "fluctuation": ("FluctuationReport", "amplitude_ratio", "analyze", "beat_spectrum",
+                    "residuals", "smooth_curve"),
+}
+
+
+@pytest.mark.parametrize("module_name", LAZY_EXPORTS)
+def test_lazy_exports_are_the_home_module_objects(module_name):
+    home = importlib.import_module(f"partition_dos.{module_name}")
+    assert getattr(pd, module_name) is home
+    listed = dir(pd)
+    assert module_name in listed
+    for name in LAZY_EXPORTS[module_name]:
+        assert getattr(pd, name) is getattr(home, name), name
+        assert name in listed, name
+    assert set(vars(pd)) <= set(listed)
+
+
+def test_unknown_package_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(pd, "no_such_name")
+
+
+def test_readme_quick_start_runs():
+    """README's Quick start block, each `# <integer>` comment asserted, in a
+    fresh interpreter so its names load through the package's lazy path."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    lines, checked = [], 0
+    for line in block.splitlines():
+        expected = re.fullmatch(r"(\S.*?)\s+#\s*(-?\d+)\s*", line)
+        if expected:
+            expr, value = expected.groups()
+            line = f"assert ({expr}) == {value}, {expr!r}"
+            checked += 1
+        lines.append(line)
+    assert checked
+    done = fresh_python("\n".join(lines))
+    assert done.returncode == 0, done.stderr

@@ -3,7 +3,8 @@
 Each public entry point rejects every argument outside its domain with a
 DomainError whose message starts "name=": an energy or inverse temperature
 must be a finite number > 0, a part cap or window an int at or above its
-lower bound, the statistics 'bose' or 'fermi', and a table size a
+lower bound (a window or n_min also at most the length it indexes), the
+statistics 'bose' or 'fermi', and a table size a
 nonnegative int.  A table size over
 PARTITION_DOS_MAX_N, inf included, raises ResourceLimitError instead.
 """
@@ -18,6 +19,7 @@ from partition_dos.errors import DomainError, ResourceLimitError
 NAN, INF = math.nan, math.inf
 REAL = (NAN, INF, -INF, 0.0, -1.0)  # must be a finite number > 0
 PART = (NAN, INF, 0, -1, 2.5)  # must be an int >= 1 (>= 3 for a window)
+WITHIN_10 = PART + (11,)  # as PART, and at most 10: a length-10 sequence or table
 INDEX = (NAN, INF, -1, 2.5)  # must be an int >= 0
 SIZE = (NAN, -1, 2.5)  # a table size: int >= 0; inf is over the cap
 STATS = ("boson", "BOSE", "", None)  # must be pd.BOSE or pd.FERMI
@@ -26,6 +28,7 @@ BOSE1 = pd.make_model(1, pd.BOSE)
 SHIFTED = pd.make_model(1, pd.BOSE, rademacher_shift=True)
 FERMI2 = pd.make_model(2, pd.FERMI)
 FREE = pd.ThermoSpec(1, pd.BOSE)
+D2_TO_10 = pd.build_table(pd.SpectrumSpec(2, distinct=True), 10)
 
 # (entry point and argument, argument name, bad values, call with the value)
 CASES = [
@@ -56,8 +59,11 @@ CASES = [
      lambda v: pd.entropy_poisson_s2(100.0, 0.1, v, 3)),
     ("entropy_poisson_s2.l_max", "l_max", PART,
      lambda v: pd.entropy_poisson_s2(100.0, 0.1, 3, v)),
-    ("amplitude_ratio.window", "window", PART,
+    ("amplitude_ratio.window", "window", WITHIN_10,
      lambda v: pd.amplitude_ratio([0.0] * 10, [1.0] * 10, v)),
+    ("residuals.n_min", "n_min", WITHIN_10, lambda v: pd.residuals(D2_TO_10, FERMI2, v)),
+    ("analyze.n_min", "n_min", WITHIN_10,
+     lambda v: pd.analyze(D2_TO_10, FERMI2, window=3, n_min=v)),
     ("conjugate_restricted_table.N", "n_parts", PART,
      lambda v: pd.conjugate_restricted_table(v, 10)),
     ("conjugate_restricted_table.n_max", "n_max", SIZE,
