@@ -58,8 +58,8 @@ def eta(x: float) -> float:
 
 def zeta(x: float) -> float:
     """Riemann zeta for x > 1, derived from eta via zeta = eta/(1 - 2**(1-x))."""
-    if not x > 1:
-        raise DomainError(f"zeta requires x > 1, got {x!r}")
+    if not 1 < x < math.inf:
+        raise DomainError(f"x={x!r} is not a finite number > 1")
     return eta(x) / (1.0 - 2.0 ** (1.0 - x))
 
 

@@ -6,6 +6,12 @@ amplitude-ratio report), audit (exact identity suite), figure (the six
 standard comparison datasets).  Output is CSV (with one #-prefixed metadata
 line) or JSON matching docs/output_schema.json.  Exit codes: 0 success,
 1 identity failure, 2 usage error, 3 resource cap, 4 numeric solver failure.
+
+argparse checks how the flags combine (choices, the required --energies or
+--max of asym and saddle, --shift against --parts); partition_dos.limits
+checks their values, so a bad value reads "--flag=value ...".  Options
+shared by a family of subcommands are declared once, in
+_add_table_options and _add_grid_options.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import sys
 
 from . import __version__, asymptotic, counting, series
 from .errors import ConvergenceError, DomainError, PrecisionLossError, ResourceLimitError
-from .limits import integer, table_size
+from .limits import integer, positive, table_size
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -77,25 +83,22 @@ def _meta(command: str, **fields) -> dict:
 
 
 def _energy_grid(args) -> list[float]:
-    bounds = (("--min", args.min), ("--max", args.max), ("--step", args.step))
-    for flag, value in bounds:
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"{flag} must be finite, got {value!r}")
-    if args.energies:
+    if args.energies is not None:
         try:
             grid = [float(tok) for tok in args.energies.split(",") if tok.strip()]
         except ValueError as exc:
-            raise DomainError(f"bad --energies list: {exc}") from exc
+            raise DomainError(
+                f"--energies={args.energies!r} is not a comma-separated list of numbers"
+            ) from exc
         if not grid:
             raise DomainError(f"--energies={args.energies!r} lists no energy")
         table_size("energy grid length", len(grid))
         return grid
-    if args.max is None:
-        raise DomainError("either --energies or --max is required")
-    if args.max < args.min:
-        raise DomainError("--max must be at least --min")
-    if args.step <= 0:
-        raise DomainError("--step must be positive")
+    positive("--step", args.step)
+    if not -math.inf < args.min <= args.max < math.inf:
+        raise DomainError(
+            f"--min={args.min!r} --max={args.max!r} is not a finite range with --min <= --max"
+        )
     span = (args.max - args.min) / args.step + 1e-9  # inf once the range overflows
     rows = math.floor(span) + 1 if math.isfinite(span) else span
     table_size("energy grid length", rows)
@@ -108,7 +111,9 @@ def _validity_grid(n_parts: int) -> range:
     lo, hi = asymptotic.validity_region(n_parts)
     grid = range(int(math.floor(lo)) + 1, int(math.ceil(hi)))
     if not grid:
-        raise DomainError(f"no integer n lies in the validity region ({lo}, {hi})")
+        raise DomainError(
+            f"--parts={n_parts!r} leaves no integer n in the validity region ({lo}, {hi})"
+        )
     return grid
 
 
@@ -118,8 +123,7 @@ def _validity_grid(n_parts: int) -> range:
 
 def cmd_exact(args) -> int:
     spec = counting.SpectrumSpec(args.s, args.distinct, args.parts)
-    if args.min < 0 or args.min > args.max:
-        raise DomainError("need 0 <= --min <= --max")
+    integer("--min", args.min, 0, integer("--max", args.max, 0))
     table = counting.build_table(spec, args.max)
     rows = [(n, table.counts[n]) for n in range(args.min, args.max + 1)]
     meta = _meta(
@@ -141,7 +145,7 @@ def cmd_asym(args) -> int:
     grid = _energy_grid(args)
     if args.parts is not None:
         if args.s != 1:
-            raise DomainError("restricted formulas are available only for s=1")
+            raise DomainError(f"--s={args.s!r} has no restricted formula; --parts needs --s 1")
         keep = not args.drop_half_term
         if stats == asymptotic.BOSE:
             lo, hi = asymptotic.validity_region(args.parts)
@@ -202,18 +206,10 @@ def _exact_rows(table, model, n_min: int, n_max: int):
 
 
 def cmd_compare(args) -> int:
-    if args.min < 1 or args.min > args.max:
-        raise DomainError("need 1 <= --min <= --max")
+    integer("--min", args.min, 1, integer("--max", args.max, 1))
     table, model = _table_and_model(args.s, args.distinct, args.max, args.shift)
-    rows = []
-    for n, exact, smooth in _exact_rows(table, model, args.min, args.max):
-        try:
-            rel = (smooth - exact) / exact
-        except OverflowError as exc:
-            raise DomainError(
-                f"count at n={n} is too large for a float comparison"
-            ) from exc
-        rows.append((n, exact, smooth, rel))
+    rows = [(n, exact, smooth, (smooth - exact) / exact)
+            for n, exact, smooth in _exact_rows(table, model, args.min, args.max)]
     meta = _meta("compare", s=args.s, distinct=args.distinct, shift=args.shift,
                  min=args.min, max=args.max)
     write_dataset(meta, ["n", "exact", "asymptote", "rel_err"], rows, args)
@@ -268,7 +264,7 @@ def cmd_audit(args) -> int:
 
 def cmd_figure(args) -> int:
     fid = args.id
-    if fid in (1, 2, 3, 4):
+    if fid <= 4:
         s = 1 if fid in (1, 3) else 2
         distinct = fid in (3, 4)
         n_max = integer("--max", args.max if args.max is not None else 1000, 1)
@@ -278,23 +274,20 @@ def cmd_figure(args) -> int:
                       list(_exact_rows(table, model, 1, n_max)), args)
         return EXIT_OK
 
-    if fid in (5, 6):
-        n_parts = args.parts
-        grid = _validity_grid(n_parts)
-        top = grid.stop - 1
-        if fid == 5:
-            table = counting.conjugate_restricted_table(n_parts, top)
-            free, capped = asymptotic.bose_density_s1, asymptotic.rho_restricted_bose
-        else:
-            table = counting.distinct_restricted_table(n_parts, top)
-            free, capped = asymptotic.fermi_density_s1, asymptotic.rho_restricted_fermi
-        rows = [(n, free(float(n)) - float(table[n]),
-                 capped(float(n), n_parts) - float(table[n])) for n in grid]
-        meta = _meta("figure", id=fid, parts=n_parts, min=grid.start, max=top)
-        write_dataset(meta, ["n", "diff_unrestricted", "diff_restricted"], rows, args)
-        return EXIT_OK
-
-    raise DomainError(f"unknown figure id {fid}; expected 1..6")
+    n_parts = args.parts
+    grid = _validity_grid(n_parts)
+    top = grid.stop - 1
+    if fid == 5:
+        table = counting.conjugate_restricted_table(n_parts, top)
+        free, capped = asymptotic.bose_density_s1, asymptotic.rho_restricted_bose
+    else:
+        table = counting.distinct_restricted_table(n_parts, top)
+        free, capped = asymptotic.fermi_density_s1, asymptotic.rho_restricted_fermi
+    rows = [(n, free(float(n)) - float(table[n]),
+             capped(float(n), n_parts) - float(table[n])) for n in grid]
+    meta = _meta("figure", id=fid, parts=n_parts, min=grid.start, max=top)
+    write_dataset(meta, ["n", "diff_unrestricted", "diff_restricted"], rows, args)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +297,27 @@ def cmd_figure(args) -> int:
 def _add_io_options(sp) -> None:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--output", default="-", help="output path, or - for stdout")
+
+
+def _add_table_options(sp, s: int, n_min: int) -> None:
+    """The exact-table options of exact, compare and fluct."""
+    sp.add_argument("--s", type=int, default=s, help="part values are m**s")
+    sp.add_argument("--distinct", action="store_true")
+    sp.add_argument("--min", type=int, default=n_min)
+    sp.add_argument("--max", type=int, required=True)
+
+
+def _add_grid_options(sp) -> None:
+    """The model and energy-grid options of asym and saddle: the grid is
+    either the --energies list or --min..--max in steps of --step."""
+    sp.add_argument("--s", type=float, default=1.0)
+    sp.add_argument("--statistics", choices=(asymptotic.BOSE, asymptotic.FERMI),
+                    default=asymptotic.BOSE)
+    grid = sp.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--energies", help="comma-separated E values")
+    grid.add_argument("--max", type=float)
+    sp.add_argument("--min", type=float, default=1.0)
+    sp.add_argument("--step", type=float, default=1.0)
 
 
 @functools.cache
@@ -316,58 +330,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("exact", help="exact count table for a spec")
-    sp.add_argument("--s", type=int, default=1, help="part values are m**s")
-    sp.add_argument("--distinct", action="store_true")
-    sp.add_argument("--parts", type=int, default=None, help="at most N parts")
-    sp.add_argument("--min", type=int, default=0)
-    sp.add_argument("--max", type=int, required=True)
+    _add_table_options(sp, s=1, n_min=0)
+    sp.add_argument("--parts", type=int, help="at most N parts")
     _add_io_options(sp)
     sp.set_defaults(func=cmd_exact)
 
     sp = sub.add_parser("asym", help="smooth closed-form density")
-    sp.add_argument("--s", type=float, default=1.0)
-    sp.add_argument("--statistics", choices=(asymptotic.BOSE, asymptotic.FERMI),
-                    default=asymptotic.BOSE)
-    sp.add_argument("--shift", action="store_true", help="use E - 1/24 (s=1 bose)")
-    sp.add_argument("--parts", type=int, default=None,
-                    help="restricted formula with at most N parts (s=1)")
+    _add_grid_options(sp)
+    shift_or_parts = sp.add_mutually_exclusive_group()
+    shift_or_parts.add_argument("--shift", action="store_true",
+                                help="use E - 1/24 (s=1 bose)")
+    shift_or_parts.add_argument("--parts", type=int,
+                                help="restricted formula with at most N parts (s=1)")
     sp.add_argument("--drop-half-term", action="store_true",
                     help="drop the -1/2 inside the restricted exponent")
-    sp.add_argument("--energies", default=None, help="comma-separated E values")
-    sp.add_argument("--min", type=float, default=1.0)
-    sp.add_argument("--max", type=float, default=None)
-    sp.add_argument("--step", type=float, default=1.0)
     _add_io_options(sp)
     sp.set_defaults(func=cmd_asym)
 
     sp = sub.add_parser("saddle", help="numeric stationary-point density")
-    sp.add_argument("--s", type=float, default=1.0)
-    sp.add_argument("--statistics", choices=(asymptotic.BOSE, asymptotic.FERMI),
-                    default=asymptotic.BOSE)
-    sp.add_argument("--parts", type=int, default=None,
-                    help="finite level count (bose s=1 only)")
-    sp.add_argument("--energies", default=None, help="comma-separated E values")
-    sp.add_argument("--min", type=float, default=1.0)
-    sp.add_argument("--max", type=float, default=None)
-    sp.add_argument("--step", type=float, default=1.0)
+    _add_grid_options(sp)
+    sp.add_argument("--parts", type=int, help="finite level count (bose s=1 only)")
     _add_io_options(sp)
     sp.set_defaults(func=cmd_saddle)
 
     sp = sub.add_parser("compare", help="exact counts next to the smooth curve")
-    sp.add_argument("--s", type=int, default=1)
-    sp.add_argument("--distinct", action="store_true")
+    _add_table_options(sp, s=1, n_min=1)
     sp.add_argument("--shift", action="store_true")
-    sp.add_argument("--min", type=int, default=1)
-    sp.add_argument("--max", type=int, required=True)
     _add_io_options(sp)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("fluct", help="residuals and windowed amplitude ratios")
-    sp.add_argument("--s", type=int, default=2)
-    sp.add_argument("--distinct", action="store_true")
+    _add_table_options(sp, s=2, n_min=1)
     sp.add_argument("--window", type=int, default=50)
-    sp.add_argument("--min", type=int, default=1)
-    sp.add_argument("--max", type=int, required=True)
     sp.add_argument("--spectrum", action="store_true", help="append spectral peaks")
     _add_io_options(sp)
     sp.set_defaults(func=cmd_fluct)
@@ -380,9 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_audit)
 
     sp = sub.add_parser("figure", help="standard comparison datasets 1..6")
-    sp.add_argument("id", type=int)
+    sp.add_argument("id", type=int, choices=range(1, 7))
     sp.add_argument("--parts", type=int, default=20, help="N for figures 5 and 6")
-    sp.add_argument("--max", type=int, default=None, help="n range for figures 1-4")
+    sp.add_argument("--max", type=int, help="n range for figures 1-4")
     _add_io_options(sp)
     sp.set_defaults(func=cmd_figure)
 

@@ -70,6 +70,15 @@ def residuals(table: PartitionTable, model: AsymptoticModel, n_min: int = 1) -> 
     return res
 
 
+def _paired(residual, smooth) -> tuple[np.ndarray, np.ndarray]:
+    """residual and smooth as float arrays of one shape, else DomainError."""
+    residual = np.asarray(residual, dtype=float)
+    smooth = np.asarray(smooth, dtype=float)
+    if residual.shape != smooth.shape:
+        raise DomainError("residual and smooth sequences must have equal length")
+    return residual, smooth
+
+
 def amplitude_ratio(residual, smooth, window: int) -> np.ndarray:
     """Windowed oscillation size relative to the smooth level.
 
@@ -79,10 +88,7 @@ def amplitude_ratio(residual, smooth, window: int) -> np.ndarray:
     strided window views, with |residual| taken before the view so that no
     (len - window + 1) x window array is built.
     """
-    residual = np.asarray(residual, dtype=float)
-    smooth = np.asarray(smooth, dtype=float)
-    if residual.shape != smooth.shape:
-        raise DomainError("residual and smooth sequences must have equal length")
+    residual, smooth = _paired(residual, smooth)
     integer("window", window, 3, residual.size)
     peaks = sliding_window_view(np.abs(residual), window).max(axis=1)
     return peaks / sliding_window_view(smooth, window).mean(axis=1)
@@ -102,7 +108,8 @@ def beat_spectrum(residual, smooth=None) -> list[tuple[float, float]]:
     if x.size < 64:
         raise DomainError(f"need at least 64 samples, got {x.size}")
     if smooth is not None:
-        x = x / np.asarray(smooth, dtype=float)
+        x, smooth = _paired(x, smooth)
+        x = x / smooth
     x = x - x.mean()
     power = np.abs(np.fft.rfft(x * np.hanning(x.size))) ** 2
     freqs = np.fft.rfftfreq(x.size, d=1.0)

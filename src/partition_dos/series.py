@@ -50,9 +50,7 @@ class IntSeries:
         return len(self._coeffs) - 1
 
     def coefficient(self, n: int) -> int:
-        if not 0 <= n <= self.degree:
-            raise DomainError(f"coefficient index {n} outside 0..{self.degree}")
-        return self._coeffs[n]
+        return self._coeffs[integer("n", n, 0, self.degree)]
 
     def shifted(self, k: int) -> "IntSeries":
         """Multiply by x**k, keeping the truncation degree."""

@@ -283,6 +283,95 @@ def test_fluct_range_errors_name_the_argument(capsys, argv, err):
     assert capsys.readouterr() == ("", err)
 
 
+# Each value check the command line makes itself, and its exact stderr line.
+USAGE_ERRORS = [
+    (["exact", "--max", "-1"], "--max=-1 is not an integer >= 0"),
+    (["exact", "--min", "5", "--max", "3"], "--min=5 is not an integer in 0..3"),
+    (["compare", "--max", "0"], "--max=0 is not an integer >= 1"),
+    (["compare", "--min", "0", "--max", "5"], "--min=0 is not an integer in 1..5"),
+    (["figure", "2", "--max", "-5"], "--max=-5 is not an integer >= 1"),
+    (["asym", "--energies", "1,x"],
+     "--energies='1,x' is not a comma-separated list of numbers"),
+    (["saddle", "--energies", ",,"], "--energies=',,' lists no energy"),
+    (["asym", "--max", "5", "--step", "0"], "--step=0.0 is not a finite number > 0"),
+    (["saddle", "--min", "4", "--max", "3"],
+     "--min=4.0 --max=3.0 is not a finite range with --min <= --max"),
+    (["figure", "6", "--parts", "1"], "--parts=1 leaves no integer n in the validity region "
+                                      f"({math.pi**2 / 6}, {math.pi**2 / 6})"),
+    (["asym", "--energies", "3", "--drop-half-term"],
+     "--drop-half-term applies only to restricted formulas; add --parts"),
+    (["asym", "--s", "3", "--parts", "5", "--max", "2"],
+     "--s=3.0 has no restricted formula; --parts needs --s 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+def test_usage_error_names_the_flag(capsys, argv, message):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# Each rule argparse enforces, and the flags its last stderr line names.
+PARSER_RULES = [
+    (["figure", "7"], ["argument id", "7"]),
+    (["asym", "--energies", "10", "--max", "3"], ["--max", "--energies"]),
+    (["saddle", "--energies", "10", "--max", "3"], ["--max", "--energies"]),
+    (["asym", "--min", "2"], ["--energies", "--max"]),
+    (["saddle"], ["--energies", "--max"]),
+    (["asym", "--parts", "20", "--shift", "--max", "5"], ["--shift", "--parts"]),
+]
+
+
+@pytest.mark.parametrize("argv, flags", PARSER_RULES,
+                         ids=[" ".join(argv) for argv, _ in PARSER_RULES])
+def test_parser_rule_is_usage_error(capsys, argv, flags):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    last = err.splitlines()[-1]
+    assert all(flag in last for flag in flags), last
+
+
+IO = {"format": "csv", "output": "-"}
+
+# The namespace of a minimal argv for each subcommand, func left out.
+PARSED = [
+    (["exact", "--max", "5"], {"command": "exact", "s": 1, "distinct": False, "parts": None,
+                               "min": 0, "max": 5, **IO}),
+    (["asym", "--max", "5"], {"command": "asym", "s": 1.0, "statistics": "bose",
+                              "shift": False, "parts": None, "drop_half_term": False,
+                              "energies": None, "min": 1.0, "max": 5.0, "step": 1.0, **IO}),
+    (["saddle", "--energies", "5"], {"command": "saddle", "s": 1.0, "statistics": "bose",
+                                     "parts": None, "energies": "5", "min": 1.0,
+                                     "max": None, "step": 1.0, **IO}),
+    (["compare", "--max", "5"], {"command": "compare", "s": 1, "distinct": False,
+                                 "shift": False, "min": 1, "max": 5, **IO}),
+    (["fluct", "--max", "5"], {"command": "fluct", "s": 2, "distinct": False, "window": 50,
+                               "min": 1, "max": 5, "spectrum": False, **IO}),
+    (["audit"], {"command": "audit", "degree": 200, "inject_fault": False, **IO}),
+    (["figure", "1"], {"command": "figure", "id": 1, "parts": 20, "max": None, **IO}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PARSED, ids=[argv[0] for argv, _ in PARSED])
+def test_parser_defaults(capsys, argv, expected):
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert parsed.pop("func") is getattr(cli, f"cmd_{argv[0]}")
+    assert parsed == expected
+    # argparse checks some group declarations only when it formats help.
+    assert cli.main([argv[0], "--help"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith(f"usage: partition-dos {argv[0]} ")
+
+
+def test_asym_shift_uses_the_shifted_model(capsys):
+    _, out = run(capsys, ["asym", "--shift", "--max", "2"])
+    meta, _, *rows = out.splitlines()
+    assert "shift=True" in meta.split()
+    shifted = pd.make_model(1, pd.BOSE, rademacher_shift=True)
+    assert rows == [f"{e!r},{pd.rho_unrestricted(shifted, e)!r}" for e in (1.0, 2.0)]
+
+
 def test_version_flag(capsys):
     assert cli.main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == pd.__version__

@@ -2,11 +2,11 @@
 
 Each public entry point rejects every argument outside its domain with a
 DomainError whose message starts "name=": an energy or inverse temperature
-must be a finite number > 0, a part cap or window an int at or above its
-lower bound (a window or n_min also at most the length it indexes), the
-statistics 'bose' or 'fermi', and a table size a
-nonnegative int.  A table size over
-PARTITION_DOS_MAX_N, inf included, raises ResourceLimitError instead.
+must be a finite number > 0 (zeta's x one > 1), a part cap, window or index
+an int at or above its lower bound (a window, n_min or series index also at
+most the length it indexes), the statistics 'bose' or 'fermi', and a table
+size a nonnegative int.  A table size over PARTITION_DOS_MAX_N, inf
+included, raises ResourceLimitError instead.
 """
 
 import math
@@ -23,12 +23,14 @@ WITHIN_10 = PART + (11,)  # as PART, and at most 10: a length-10 sequence or tab
 INDEX = (NAN, INF, -1, 2.5)  # must be an int >= 0
 SIZE = (NAN, -1, 2.5)  # a table size: int >= 0; inf is over the cap
 STATS = ("boson", "BOSE", "", None)  # must be pd.BOSE or pd.FERMI
+ABOVE_1 = (NAN, 1.0, 0.5, -1.0)  # must be a finite number > 1
 
 BOSE1 = pd.make_model(1, pd.BOSE)
 SHIFTED = pd.make_model(1, pd.BOSE, rademacher_shift=True)
 FERMI2 = pd.make_model(2, pd.FERMI)
 FREE = pd.ThermoSpec(1, pd.BOSE)
 D2_TO_10 = pd.build_table(pd.SpectrumSpec(2, distinct=True), 10)
+DEGREE_10 = pd.IntSeries(range(11))
 
 # (entry point and argument, argument name, bad values, call with the value)
 CASES = [
@@ -37,6 +39,7 @@ CASES = [
     ("rho_unrestricted[bose]", "E", REAL, lambda v: pd.rho_unrestricted(BOSE1, v)),
     ("rho_unrestricted[shift]", "E", REAL, lambda v: pd.rho_unrestricted(SHIFTED, v)),
     ("rho_unrestricted[fermi]", "E", REAL, lambda v: pd.rho_unrestricted(FERMI2, v)),
+    ("zeta", "x", ABOVE_1, pd.zeta),
     ("bose_density_s1", "E", REAL, pd.bose_density_s1),
     ("bose_density_s2", "E", REAL, pd.bose_density_s2),
     ("fermi_density_s1", "E", REAL, pd.fermi_density_s1),
@@ -64,6 +67,7 @@ CASES = [
     ("residuals.n_min", "n_min", WITHIN_10, lambda v: pd.residuals(D2_TO_10, FERMI2, v)),
     ("analyze.n_min", "n_min", WITHIN_10,
      lambda v: pd.analyze(D2_TO_10, FERMI2, window=3, n_min=v)),
+    ("IntSeries.coefficient", "n", INDEX + (11,), DEGREE_10.coefficient),
     ("conjugate_restricted_table.N", "n_parts", PART,
      lambda v: pd.conjugate_restricted_table(v, 10)),
     ("conjugate_restricted_table.n_max", "n_max", SIZE,

@@ -150,6 +150,12 @@ def test_beat_spectrum_needs_enough_samples():
         pd.beat_spectrum(np.zeros(63))
 
 
+def test_beat_spectrum_smooth_must_match_the_residual():
+    # The same rule and message as amplitude_ratio, not numpy's broadcasting error.
+    with pytest.raises(DomainError, match=r"^residual and smooth sequences must have equal length$"):
+        pd.beat_spectrum(np.zeros(64), np.ones(63))
+
+
 def test_beat_spectrum_of_distinct_squares():
     table = pd.build_table(pd.SpectrumSpec(2, True), 600)
     model = pd.make_model(2, pd.FERMI)
