@@ -84,7 +84,7 @@ def make_model(s: float, statistics: str, rademacher_shift: bool = False) -> Asy
     positive("s", s)
     one_of("statistics", statistics, (BOSE, FERMI))
     if rademacher_shift and not (statistics == BOSE and s == 1):
-        raise DomainError("the -1/24 shift applies only to s=1 multiset counting")
+        raise DomainError(f"rademacher_shift={rademacher_shift!r} needs s=1 {BOSE!r} statistics")
     s = float(s)
     arg = 1.0 + 1.0 / s
     if arg == 1.0:

@@ -84,6 +84,9 @@ def _meta(command: str, **fields) -> dict:
 
 def _energy_grid(args) -> list[float]:
     if args.energies is not None:
+        for flag, value in (("--min", args.min), ("--step", args.step)):
+            if value is not None:
+                raise DomainError(f"{flag}={value!r} goes with --max, not with --energies")
         try:
             grid = [float(tok) for tok in args.energies.split(",") if tok.strip()]
         except ValueError as exc:
@@ -94,15 +97,16 @@ def _energy_grid(args) -> list[float]:
             raise DomainError(f"--energies={args.energies!r} lists no energy")
         table_size("energy grid length", len(grid))
         return grid
-    positive("--step", args.step)
-    if not -math.inf < args.min <= args.max < math.inf:
+    lo = 1.0 if args.min is None else args.min
+    step = positive("--step", 1.0 if args.step is None else args.step)
+    if not -math.inf < lo <= args.max < math.inf:
         raise DomainError(
-            f"--min={args.min!r} --max={args.max!r} is not a finite range with --min <= --max"
+            f"--min={lo!r} --max={args.max!r} is not a finite range with --min <= --max"
         )
-    span = (args.max - args.min) / args.step + 1e-9  # inf once the range overflows
+    span = (args.max - lo) / step + 1e-9  # inf once the range overflows
     rows = math.floor(span) + 1 if math.isfinite(span) else span
     table_size("energy grid length", rows)
-    return [args.min + k * args.step for k in range(rows)]
+    return [lo + k * step for k in range(rows)]
 
 
 def _validity_grid(n_parts: int) -> range:
@@ -223,12 +227,10 @@ def cmd_fluct(args) -> int:
     report = fluctuation.analyze(
         table, model, window=args.window, n_min=args.min, spectrum=args.spectrum
     )
-    offset = args.window // 2
-    rows = []
-    for idx, n in enumerate(report.n_grid):
-        j = idx - offset
-        ratio = report.ratio[j] if 0 <= j < len(report.ratio) else None
-        rows.append((int(n), float(report.residual[idx]), ratio))
+    # ratio[i] is the window that starts at n_grid[i], printed at that window's centre.
+    ratio = [None] * (args.window // 2) + report.ratio.tolist()
+    ratio += [None] * (len(report.n_grid) - len(ratio))
+    rows = list(zip(report.n_grid.tolist(), report.residual.tolist(), ratio))
     meta = _meta(
         "fluct",
         s=args.s,
@@ -309,15 +311,16 @@ def _add_table_options(sp, s: int, n_min: int) -> None:
 
 def _add_grid_options(sp) -> None:
     """The model and energy-grid options of asym and saddle: the grid is
-    either the --energies list or --min..--max in steps of --step."""
+    either the --energies list or --min..--max in steps of --step (--min and
+    --step default to 1.0 and go with --max only)."""
     sp.add_argument("--s", type=float, default=1.0)
     sp.add_argument("--statistics", choices=(asymptotic.BOSE, asymptotic.FERMI),
                     default=asymptotic.BOSE)
     grid = sp.add_mutually_exclusive_group(required=True)
     grid.add_argument("--energies", help="comma-separated E values")
     grid.add_argument("--max", type=float)
-    sp.add_argument("--min", type=float, default=1.0)
-    sp.add_argument("--step", type=float, default=1.0)
+    sp.add_argument("--min", type=float)
+    sp.add_argument("--step", type=float)
 
 
 @functools.cache

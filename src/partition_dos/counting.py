@@ -43,6 +43,8 @@ class SpectrumSpec:
 
     def part_values(self, limit: int) -> list[int]:
         """All allowed part values m**s <= limit, in increasing order."""
+        if self.s >= limit.bit_length():  # 2**s > limit: only 1**s can fit
+            return [1] if limit >= 1 else []
         values = []
         m = 1
         while m**self.s <= limit:
@@ -121,7 +123,7 @@ def _knapsack(spec: SpectrumSpec, n_max: int) -> list[int]:
     values = spec.part_values(n_max)
     if spec.max_parts is None:
         return _add_parts([1] + [0] * n_max, values, spec.distinct)
-    n_parts = spec.max_parts
+    n_parts = min(spec.max_parts, n_max)  # n <= n_max has at most n_max parts
     dp = [[0] * (n_max + 1) for _ in range(n_parts + 1)]
     dp[0][0] = 1
     ks = range(n_parts, 0, -1) if spec.distinct else range(1, n_parts + 1)

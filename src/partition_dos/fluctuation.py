@@ -41,33 +41,31 @@ def smooth_curve(model: AsymptoticModel, n_values) -> np.ndarray:
     return np.array([rho_unrestricted(model, float(n)) for n in n_values])
 
 
-def _exact_floats(table: PartitionTable, n_min: int) -> np.ndarray:
-    """The counts for n = n_min .. n_max as floats, after the range checks.
+def _residual_pass(table: PartitionTable, model: AsymptoticModel,
+                   n_min: int) -> tuple[np.ndarray, np.ndarray]:
+    """(exact - smooth, smooth) for n = n_min .. n_max, as floats.
 
     Counts above 2**53 would not survive the float conversion at integer
-    precision, so they raise instead of silently degrading.
+    precision, so they raise PrecisionLossError instead of silently degrading.
     """
+    _check_match(table, model)
     integer("n_min", n_min, 1, table.n_max)
-    out = np.empty(table.n_max - n_min + 1)
-    for idx, n in enumerate(range(n_min, table.n_max + 1)):
-        c = table.counts[n]
-        if c > FLOAT_EXACT_MAX:
-            raise PrecisionLossError(
-                f"count at n={n} exceeds 2**53; residuals would lose integer precision"
-            )
-        out[idx] = float(c)
-    return out
+    counts = table.counts[n_min:]
+    if max(counts) > FLOAT_EXACT_MAX:
+        n = next(n for n, c in enumerate(counts, n_min) if c > FLOAT_EXACT_MAX)
+        raise PrecisionLossError(
+            f"count at n={n} exceeds 2**53; residuals would lose integer precision"
+        )
+    smooth = smooth_curve(model, range(n_min, table.n_max + 1))
+    return np.array(counts, dtype=float) - smooth, smooth
 
 
 def residuals(table: PartitionTable, model: AsymptoticModel, n_min: int = 1) -> np.ndarray:
     """exact(n) - smooth(n) for n = n_min .. n_max, as floats.
 
-    Counts above 2**53 raise PrecisionLossError (see :func:`_exact_floats`).
+    Counts above 2**53 raise PrecisionLossError.
     """
-    _check_match(table, model)
-    res = _exact_floats(table, n_min)
-    res -= smooth_curve(model, range(n_min, table.n_max + 1))
-    return res
+    return _residual_pass(table, model, n_min)[0]
 
 
 def _paired(residual, smooth) -> tuple[np.ndarray, np.ndarray]:
@@ -105,8 +103,7 @@ def beat_spectrum(residual, smooth=None) -> list[tuple[float, float]]:
     per unit n.  Purely descriptive output.
     """
     x = np.asarray(residual, dtype=float)
-    if x.size < 64:
-        raise DomainError(f"need at least 64 samples, got {x.size}")
+    integer("len(residual)", x.size, 64)
     if smooth is not None:
         x, smooth = _paired(x, smooth)
         x = x / smooth
@@ -149,11 +146,8 @@ def analyze(
     The smooth curve is evaluated once and serves both the residuals and
     the ratios.
     """
-    _check_match(table, model)
-    res = _exact_floats(table, n_min)
+    res, smooth = _residual_pass(table, model, n_min)
     n_grid = np.arange(n_min, table.n_max + 1)
-    smooth = smooth_curve(model, n_grid)
-    res -= smooth
     ratio = amplitude_ratio(res, smooth, window)
     summary = {
         "first_ratio": float(ratio[0]),

@@ -58,7 +58,9 @@ class ThermoSpec:
         if self.max_parts is not None:
             integer("max_parts", self.max_parts, 1)
             if not (self.statistics == BOSE and self.s == 1):
-                raise DomainError("finite max_parts is exact only for bose statistics at s=1")
+                raise DomainError(
+                    f"max_parts={self.max_parts!r} is exact only for {BOSE!r} statistics at s=1"
+                )
 
 
 @dataclass(frozen=True)

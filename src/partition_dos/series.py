@@ -75,9 +75,7 @@ class IntSeries:
         a, b = self._coeffs, other._coeffs
         # Iterate the sparser operand on the outside; the factors built here
         # (geometric tails, 1 +/- x^k) are mostly zeros.
-        na = sum(1 for c in a[: d + 1] if c)
-        nb = sum(1 for c in b[: d + 1] if c)
-        if nb < na:
+        if a[: d + 1].count(0) < b[: d + 1].count(0):
             a, b = b, a
         out = [0] * (d + 1)
         for i in range(d + 1):

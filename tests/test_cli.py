@@ -40,6 +40,13 @@ def test_exact_worked_examples(capsys):
     assert last_row(out) == "5,6"
 
 
+def test_exact_with_a_huge_exponent_counts_only_ones(capsys):
+    # Only the part 1**s fits under --max, so m**s is never built for m >= 2.
+    code, out = run(capsys, ["exact", "--s", "1000000000000", "--max", "5"])
+    assert code == 0
+    assert out.splitlines()[2:] == [f"{n},1" for n in range(6)]
+
+
 def test_csv_has_metadata_and_header(capsys):
     for argv in (
         ["exact", "--max", "3"],
@@ -156,19 +163,22 @@ def test_compare_rel_err_column(capsys):
     assert float(rel) == pytest.approx((float(asym) - 190569292) / 190569292, rel=1e-9)
 
 
-def test_fluct_ratio_alignment(capsys):
-    _, out = run(capsys, ["fluct", "--s", "2", "--distinct", "--max", "60",
-                          "--window", "10"])
+@pytest.mark.parametrize("window", [3, 10, 11])
+def test_fluct_ratio_alignment(capsys, window):
+    _, out = run(capsys, ["fluct", "--s", "2", "--distinct", "--min", "5", "--max", "60",
+                          "--window", str(window)])
     lines = out.strip().splitlines()
     rows = [line.split(",") for line in lines[2:]]
-    # 60 rows; ratio defined for window centers only.
-    assert len(rows) == 60
-    blank = [r for r in rows if r[2] == ""]
+    # 56 rows; ratio[i] covers n = 5 + i .. 5 + i + window - 1, printed at its centre.
+    assert [int(r[0]) for r in rows] == list(range(5, 61))
     filled = [r for r in rows if r[2] != ""]
-    assert len(filled) == 60 - 10 + 1
-    assert len(blank) == 9
-    for r in filled:
-        float(r[2])  # a plain number, not a numpy repr such as np.float64(x)
+    assert len(filled) == 56 - window + 1
+    first = 5 + window // 2
+    assert [int(r[0]) for r in filled] == list(range(first, first + len(filled)))
+    table = pd.build_table(pd.SpectrumSpec(2, True), 60)
+    ratio = pd.analyze(table, pd.make_model(2, pd.FERMI), window=window, n_min=5).ratio
+    # plain reprs, not numpy ones such as np.float64(x)
+    assert [r[2] for r in filled] == [repr(float(x)) for x in ratio]
     assert "first_ratio=" in lines[0] and "last_ratio=" in lines[0]
 
 
@@ -296,6 +306,12 @@ USAGE_ERRORS = [
     (["asym", "--max", "5", "--step", "0"], "--step=0.0 is not a finite number > 0"),
     (["saddle", "--min", "4", "--max", "3"],
      "--min=4.0 --max=3.0 is not a finite range with --min <= --max"),
+    (["saddle", "--max", "-3"], "--min=1.0 --max=-3.0 is not a finite range with --min <= --max"),
+    (["asym", "--energies", "10", "--min", "5", "--step", "nan"],
+     "--min=5.0 goes with --max, not with --energies"),
+    (["saddle", "--energies", "10", "--step", "3"],
+     "--step=3.0 goes with --max, not with --energies"),
+    (["asym", "--energies", "10", "--min", "1"], "--min=1.0 goes with --max, not with --energies"),
     (["figure", "6", "--parts", "1"], "--parts=1 leaves no integer n in the validity region "
                                       f"({math.pi**2 / 6}, {math.pi**2 / 6})"),
     (["asym", "--energies", "3", "--drop-half-term"],
@@ -341,10 +357,10 @@ PARSED = [
                                "min": 0, "max": 5, **IO}),
     (["asym", "--max", "5"], {"command": "asym", "s": 1.0, "statistics": "bose",
                               "shift": False, "parts": None, "drop_half_term": False,
-                              "energies": None, "min": 1.0, "max": 5.0, "step": 1.0, **IO}),
+                              "energies": None, "min": None, "max": 5.0, "step": None, **IO}),
     (["saddle", "--energies", "5"], {"command": "saddle", "s": 1.0, "statistics": "bose",
-                                     "parts": None, "energies": "5", "min": 1.0,
-                                     "max": None, "step": 1.0, **IO}),
+                                     "parts": None, "energies": "5", "min": None,
+                                     "max": None, "step": None, **IO}),
     (["compare", "--max", "5"], {"command": "compare", "s": 1, "distinct": False,
                                  "shift": False, "min": 1, "max": 5, **IO}),
     (["fluct", "--max", "5"], {"command": "fluct", "s": 2, "distinct": False, "window": 50,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +124,34 @@ def test_bounded_equals_unbounded_once_cap_exceeds_n():
         free = pd.build_table(pd.SpectrumSpec(s, distinct), 30).counts
         capped = pd.build_table(pd.SpectrumSpec(s, distinct, 30), 30).counts
         assert free == capped
+
+
+def _peak_bytes(call):
+    """call() and the peak bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_part_values_for_large_s_skip_the_power():
+    # 2**s > limit already at s = limit.bit_length(); 2**(10**8) alone is 12.5 MB.
+    values, peak = _peak_bytes(lambda: pd.SpectrumSpec(10**8).part_values(5))
+    assert values == [1]
+    assert peak < 2**20
+    assert pd.SpectrumSpec(3).part_values(0) == []
+    assert [pd.SpectrumSpec(s).part_values(8) for s in (2, 3, 4)] == [[1, 4], [1, 8], [1]]
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_part_cap_above_n_max_sweeps_n_max_rows(distinct):
+    # A partition of n <= 50 has at most 50 parts, so a cap of 20,000 is a cap of 50.
+    capped = pd.SpectrumSpec(2, distinct, 50)
+    table, peak = _peak_bytes(lambda: pd.build_table(pd.SpectrumSpec(2, distinct, 20_000), 50))
+    assert table.counts == pd.build_table(capped, 50).counts
+    assert peak < 2**20
 
 
 def test_monotone_in_part_cap():

@@ -5,7 +5,9 @@ DomainError whose message starts "name=": an energy or inverse temperature
 must be a finite number > 0 (zeta's x one > 1), a part cap, window or index
 an int at or above its lower bound (a window, n_min or series index also at
 most the length it indexes), the statistics 'bose' or 'fermi', and a table
-size a nonnegative int.  A table size over PARTITION_DOS_MAX_N, inf
+size a nonnegative int.  A rule that ties one argument to another (the
+-1/24 shift, a saddle part cap) or to a floor (beat_spectrum's 64 samples)
+names that argument too.  A table size over PARTITION_DOS_MAX_N, inf
 included, raises ResourceLimitError instead.
 """
 
@@ -35,7 +37,12 @@ DEGREE_10 = pd.IntSeries(range(11))
 # (entry point and argument, argument name, bad values, call with the value)
 CASES = [
     ("make_model", "statistics", STATS, lambda v: pd.make_model(1, v)),
+    ("make_model.shift[s=2]", "rademacher_shift", (True,), lambda v: pd.make_model(2, pd.BOSE, v)),
+    ("make_model.shift[fermi]", "rademacher_shift", (True,),
+     lambda v: pd.make_model(1, pd.FERMI, v)),
     ("ThermoSpec", "statistics", STATS, lambda v: pd.ThermoSpec(1, v)),
+    ("ThermoSpec.max_parts[s=2]", "max_parts", (5,), lambda v: pd.ThermoSpec(2, pd.BOSE, v)),
+    ("ThermoSpec.max_parts[fermi]", "max_parts", (5,), lambda v: pd.ThermoSpec(1, pd.FERMI, v)),
     ("rho_unrestricted[bose]", "E", REAL, lambda v: pd.rho_unrestricted(BOSE1, v)),
     ("rho_unrestricted[shift]", "E", REAL, lambda v: pd.rho_unrestricted(SHIFTED, v)),
     ("rho_unrestricted[fermi]", "E", REAL, lambda v: pd.rho_unrestricted(FERMI2, v)),
@@ -64,6 +71,7 @@ CASES = [
      lambda v: pd.entropy_poisson_s2(100.0, 0.1, 3, v)),
     ("amplitude_ratio.window", "window", WITHIN_10,
      lambda v: pd.amplitude_ratio([0.0] * 10, [1.0] * 10, v)),
+    ("beat_spectrum", "len(residual)", (0, 10, 63), lambda v: pd.beat_spectrum([0.0] * v)),
     ("residuals.n_min", "n_min", WITHIN_10, lambda v: pd.residuals(D2_TO_10, FERMI2, v)),
     ("analyze.n_min", "n_min", WITHIN_10,
      lambda v: pd.analyze(D2_TO_10, FERMI2, window=3, n_min=v)),
