@@ -10,11 +10,15 @@ Python integers; nothing here ever rounds.
 spec by a knapsack sweep, which also serves as the tests' oracle for the
 recurrences.  The other tables here are second routes to s = 1 counts: each
 docstring names the table it is the oracle for.  Only SpectrumSpec.part_values
-lists the part values; each unbounded knapsack is one _add_parts sweep.
+lists the part values.  Each unbounded multiset knapsack is one _add_parts
+sweep, and the unbounded distinct one is the packed product _packed_distinct.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import add
@@ -93,27 +97,86 @@ def build_table(spec: SpectrumSpec, n_max: int) -> PartitionTable:
     return PartitionTable(spec, tuple(counts))
 
 
-def _add_parts(row: list[int], values, distinct: bool = False) -> list[int]:
+def _add_parts(row: list[int], values) -> list[int]:
     """Admit each part value v in `values` into the counts in `row`, in
     turn and in place; return `row`.
 
-    row[j] += row[j - v] for every j >= v.  Sweeping j upward reads entries
-    that already include v, so v may repeat; sweeping downward reads only
-    entries from before v, so v is used at most once.
+    row[j] += row[j - v] for every j >= v, sweeping j upward, so the
+    entries read already include v and v may repeat.  The multiset sweep;
+    distinct parts go through :func:`_packed_distinct`.
     """
     for v in values:
-        js = range(len(row) - 1, v - 1, -1) if distinct else range(v, len(row))
-        for j in js:
+        for j in range(v, len(row)):
             row[j] += row[j - v]
     return row
+
+
+def _lane_bits(s: int, values: list[int], n_max: int) -> int:
+    """Bits that hold every coefficient of x**0 .. x**n_max of every partial
+    product of the (1 + x**v) over `values`.
+
+    A proof, not a guess: each factor has non-negative coefficients and
+    constant term 1, so for any beta > 0 each such coefficient c_j obeys
+    c_j e**(-beta j) <= prod (1 + e**(-beta v)), and hence
+    c_j <= e**(beta n_max) * prod over v of (1 + e**(-beta v)).  beta is
+    the closed-form fermi saddle of energy n_max,
+    (D / (s n_max))**(s / (1 + s)) with D = Gamma(1 + 1/s) eta(1 + 1/s),
+    near which the bound is least.  The log of the bound is summed once
+    with math.fsum, and 2 bits cover its rounding.  s is clamped before any
+    float is formed; the clamp only moves beta, and any beta bounds the
+    counts.
+    """
+    from .asymptotic import FERMI, make_model  # asymptotic imports counting
+
+    s = min(s, 64)
+    beta = make_model(s, FERMI).lam / max(n_max, 1) ** (s / (1 + s))
+    log_bound = math.fsum(
+        [beta * n_max] + [math.log1p(math.exp(-beta * v)) for v in values]
+    )
+    return math.ceil(log_bound / math.log(2)) + 2
+
+
+def _packed_distinct(s: int, values: list[int], n_max: int) -> list[int]:
+    """Counts of n = 0..n_max as sums of distinct members of `values`, the
+    part values m**s, through one packed integer (Kronecker substitution).
+
+    Count j lives in bits [j*width, (j+1)*width) of `packed`, with width
+    the bound of :func:`_lane_bits` rounded up to whole 64-bit words, so no
+    lane ever carries into the next.  Multiplying by (1 + x**v) is then
+    one shift, one add and one mask, all in C, and the lanes are unpacked
+    once at the end through a machine-word array.
+    """
+    width = -(-_lane_bits(s, values, n_max) // 64) * 64
+    mask = (1 << width * (n_max + 1)) - 1
+    packed = 1
+    for v in values:
+        packed = (packed + (packed << v * width)) & mask
+    words = array("Q", packed.to_bytes(width // 8 * (n_max + 1), "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    step = width // 64  # words per lane, least significant first
+    lanes = list(words[step - 1 :: step])
+    for i in range(step - 2, -1, -1):
+        lanes = [hi << 64 | lo for hi, lo in zip(lanes, words[i::step])]
+    return lanes
 
 
 def _knapsack(spec: SpectrumSpec, n_max: int) -> list[int]:
     """Counts for n = 0..n_max by a knapsack sweep over the part values.
 
     The route for every s >= 2 spec, and the oracle the tests hold the s = 1
-    recurrences of :func:`build_table` to.  An unbounded spec is one
-    :func:`_add_parts` sweep.  A part cap adds a second dimension,
+    recurrences of :func:`build_table` to.  A cap of n_max parts or more
+    binds nothing, since n <= n_max has at most n parts, so such a spec
+    counts as unbounded.  Unbounded distinct parts are one
+    :func:`_packed_distinct` product of the (1 + x**v), in lanes as wide as
+    :func:`_lane_bits` proves enough; unbounded multisets are one
+    :func:`_add_parts` sweep.  Multisets stay on the sweep because the
+    packed form of 1/(1 - x**v) needs log2(n_max/v) doubling steps per
+    value: measured on one core, the p**2(n) table to n = 5*10**4 took
+    1.4 s packed against 0.94 s swept, and the two break even near
+    n = 1.5*10**4.
+
+    A part cap adds a second dimension,
     dp[k][j] = partitions of j into exactly k parts, and each value v moves
     counts from k - 1 parts to k parts.  Taking k downward reads a dp[k - 1]
     that v has not touched yet, so v is used at most once; taking k upward
@@ -121,9 +184,11 @@ def _knapsack(spec: SpectrumSpec, n_max: int) -> list[int]:
     does not matter because dp[k] and dp[k - 1] are different rows.
     """
     values = spec.part_values(n_max)
-    if spec.max_parts is None:
-        return _add_parts([1] + [0] * n_max, values, spec.distinct)
-    n_parts = min(spec.max_parts, n_max)  # n <= n_max has at most n_max parts
+    if spec.max_parts is None or spec.max_parts >= n_max:
+        if spec.distinct:
+            return _packed_distinct(spec.s, values, n_max)
+        return _add_parts([1] + [0] * n_max, values)
+    n_parts = spec.max_parts
     dp = [[0] * (n_max + 1) for _ in range(n_parts + 1)]
     dp[0][0] = 1
     ks = range(n_parts, 0, -1) if spec.distinct else range(1, n_parts + 1)

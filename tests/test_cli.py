@@ -47,6 +47,17 @@ def test_exact_with_a_huge_exponent_counts_only_ones(capsys):
     assert out.splitlines()[2:] == [f"{n},1" for n in range(6)]
 
 
+def test_exact_with_an_exponent_past_the_float_range(capsys):
+    # 10**400 overflows a float, so nothing on these routes may convert s.
+    s = str(10**400)
+    code, out = run(capsys, ["exact", "--s", s, "--max", "5"])
+    assert code == 0
+    assert out.splitlines()[2:] == [f"{n},1" for n in range(6)]
+    code, out = run(capsys, ["exact", "--s", s, "--distinct", "--max", "5"])
+    assert code == 0
+    assert out.splitlines()[2:] == ["0,1", "1,1"] + [f"{n},0" for n in range(2, 6)]
+
+
 def test_csv_has_metadata_and_header(capsys):
     for argv in (
         ["exact", "--max", "3"],

@@ -241,6 +241,62 @@ def test_s1_recurrences_match_knapsack_property(distinct, parts, n):
     assert pd.build_table(spec, n).counts == tuple(counting._knapsack(spec, n))
 
 
+def _downward_sweep(values, n_max):
+    """Counts of n = 0..n_max as sums of distinct members of `values`, by
+    n_max Python adds per value.
+
+    row[j] += row[j - v] for j from n_max down to v, so every entry read
+    predates v and v is used at most once.  The oracle for the packed
+    product counting._packed_distinct behind every unbounded distinct
+    knapsack.
+    """
+    row = [1] + [0] * n_max
+    for v in values:
+        for j in range(n_max, v - 1, -1):
+            row[j] += row[j - v]
+    return row
+
+
+def _assert_packed_matches_sweep(s, n):
+    spec = pd.SpectrumSpec(s, True)
+    values = spec.part_values(n)
+    table = counting._knapsack(spec, n)
+    assert table == _downward_sweep(values, n)
+    bits = counting._lane_bits(s, values, n)
+    assert bits >= max(table).bit_length()
+    return bits
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 150, 1000, 4900])
+def test_packed_distinct_matches_downward_sweep(s, n):
+    _assert_packed_matches_sweep(s, n)
+
+
+@pytest.mark.parametrize("n,words", [(300, 1), (601, 2), (2500, 3)])
+def test_packed_distinct_lanes_of_several_words(n, words):
+    # d(n) needs 64-, 128- and 192-bit lanes here, so the unpacking joins 1-3 words.
+    assert -(-_assert_packed_matches_sweep(1, n) // 64) == words
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.integers(1, 12), n=st.integers(0, 2000))
+def test_packed_distinct_matches_downward_sweep_property(s, n):
+    _assert_packed_matches_sweep(s, n)
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_void_part_cap_takes_the_unbounded_route(distinct):
+    # A partition of n <= 1000 has at most 1000 parts.  The capped DP would
+    # hold 1001 rows of 1001 counts (8 MB of pointers) and take seconds.
+    free = counting._knapsack(pd.SpectrumSpec(2, distinct), 1000)
+    for cap in (1000, 3000):
+        spec = pd.SpectrumSpec(2, distinct, cap)
+        table, peak = _peak_bytes(lambda: counting._knapsack(spec, 1000))
+        assert table == free
+        assert peak < 2**20
+
+
 @pytest.mark.parametrize(
     "spec,n,expected",
     [
@@ -252,3 +308,12 @@ def test_s1_recurrences_match_knapsack_property(distinct, parts, n):
 )
 def test_pinned_s1_counts(spec, n, expected):
     assert pd.count(spec, n) == expected
+
+
+@pytest.mark.parametrize(
+    "n,expected",
+    # By the downward sweep; 34032 is the first n with d^2(n) > 2**53.
+    [(15000, 220346318481), (34032, 9010834711520385)],
+)
+def test_pinned_distinct_square_counts(n, expected):
+    assert pd.count(pd.SpectrumSpec(2, True), n) == expected
