@@ -267,6 +267,8 @@ def cmd_audit(args) -> int:
 def cmd_figure(args) -> int:
     fid = args.id
     if fid <= 4:
+        if args.parts is not None:
+            raise DomainError(f"--parts applies only to figures 5 and 6, not to figure {fid}")
         s = 1 if fid in (1, 3) else 2
         distinct = fid in (3, 4)
         n_max = integer("--max", args.max if args.max is not None else 1000, 1)
@@ -276,7 +278,9 @@ def cmd_figure(args) -> int:
                       list(_exact_rows(table, model, 1, n_max)), args)
         return EXIT_OK
 
-    n_parts = args.parts
+    if args.max is not None:
+        raise DomainError(f"--max applies only to figures 1-4, not to figure {fid}")
+    n_parts = 20 if args.parts is None else args.parts
     grid = _validity_grid(n_parts)
     top = grid.stop - 1
     if fid == 5:
@@ -378,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("figure", help="standard comparison datasets 1..6")
     sp.add_argument("id", type=int, choices=range(1, 7))
-    sp.add_argument("--parts", type=int, default=20, help="N for figures 5 and 6")
+    sp.add_argument("--parts", type=int, help="N for figures 5 and 6 (default 20)")
     sp.add_argument("--max", type=int, help="n range for figures 1-4")
     _add_io_options(sp)
     sp.set_defaults(func=cmd_figure)

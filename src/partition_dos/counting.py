@@ -10,8 +10,10 @@ Python integers; nothing here ever rounds.
 spec by a knapsack sweep, which also serves as the tests' oracle for the
 recurrences.  The other tables here are second routes to s = 1 counts: each
 docstring names the table it is the oracle for.  Only SpectrumSpec.part_values
-lists the part values.  Each unbounded multiset knapsack is one _add_parts
-sweep, and the unbounded distinct one is the packed product _packed_distinct.
+lists the part values.  Every knapsack and recurrence table is built from
+two row steps: the sweep _add_parts, row[j] += row[j - v], and the shifted
+add _add_row, dst[j] += src[j - shift].  Beside them, the only table
+arithmetic is the pentagonal recurrence and the packed product _packed_distinct.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 from operator import add
 from typing import Iterator
 
@@ -98,17 +102,20 @@ def build_table(spec: SpectrumSpec, n_max: int) -> PartitionTable:
 
 
 def _add_parts(row: list[int], values) -> list[int]:
-    """Admit each part value v in `values` into the counts in `row`, in
-    turn and in place; return `row`.
-
-    row[j] += row[j - v] for every j >= v, sweeping j upward, so the
-    entries read already include v and v may repeat.  The multiset sweep;
-    distinct parts go through :func:`_packed_distinct`.
-    """
+    """Admit each part value v in `values` into `row`, in turn and in place;
+    return `row`.  row[j] += row[j - v] for every j >= v, sweeping j upward,
+    so the entries read already include v and v may repeat: the one sweep."""
     for v in values:
         for j in range(v, len(row)):
             row[j] += row[j - v]
     return row
+
+
+def _add_row(dst: list[int], src: list[int], shift: int = 0) -> list[int]:
+    """dst[j] += src[j - shift] for every j >= shift, in place and in C, as
+    one slice assignment; return `dst`.  src is at least len(dst) - shift long."""
+    dst[shift:] = map(add, dst[shift:], src)
+    return dst
 
 
 def _lane_bits(s: int, values: list[int], n_max: int) -> int:
@@ -165,41 +172,36 @@ def _knapsack(spec: SpectrumSpec, n_max: int) -> list[int]:
     """Counts for n = 0..n_max by a knapsack sweep over the part values.
 
     The route for every s >= 2 spec, and the oracle the tests hold the s = 1
-    recurrences of :func:`build_table` to.  A cap of n_max parts or more
-    binds nothing, since n <= n_max has at most n parts, so such a spec
-    counts as unbounded.  Unbounded distinct parts are one
-    :func:`_packed_distinct` product of the (1 + x**v), in lanes as wide as
-    :func:`_lane_bits` proves enough; unbounded multisets are one
-    :func:`_add_parts` sweep.  Multisets stay on the sweep because the
-    packed form of 1/(1 - x**v) needs log2(n_max/v) doubling steps per
-    value: measured on one core, the p**2(n) table to n = 5*10**4 took
-    1.4 s packed against 0.94 s swept, and the two break even near
-    n = 1.5*10**4.
+    recurrences of :func:`build_table` to.  A cap binds nothing, and the
+    spec counts as unbounded, once it reaches the most parts any n <= n_max
+    has: n_max ones, or for distinct parts the largest k with
+    v_1 + ... + v_k <= n_max (20 squares at n_max = 3000).  Unbounded
+    distinct parts are one :func:`_packed_distinct` product; unbounded
+    multisets are one :func:`_add_parts` sweep, because the packed form of
+    1/(1 - x**v) needs log2(n_max/v) doubling steps per value: measured on
+    one core, the p**2(n) table to n = 5*10**4 took 1.4 s packed against
+    0.94 s swept, and the two break even near n = 1.5*10**4.
 
     A part cap adds a second dimension,
     dp[k][j] = partitions of j into exactly k parts, and each value v moves
-    counts from k - 1 parts to k parts.  Taking k downward reads a dp[k - 1]
-    that v has not touched yet, so v is used at most once; taking k upward
-    reads a dp[k - 1] that already holds v, so v may repeat.  The j order
-    does not matter because dp[k] and dp[k - 1] are different rows.
+    counts from k - 1 parts to k parts, one :func:`_add_row` of dp[k - 1]
+    shifted by v into dp[k].  Taking k downward reads a dp[k - 1] that v has
+    not touched yet, so v is used at most once; taking k upward reads a
+    dp[k - 1] that already holds v, so v may repeat.  _add_row sums the rows.
     """
     values = spec.part_values(n_max)
-    if spec.max_parts is None or spec.max_parts >= n_max:
+    most = bisect_right([*accumulate(values)], n_max) if spec.distinct else n_max
+    if spec.max_parts is None or spec.max_parts >= most:
         if spec.distinct:
             return _packed_distinct(spec.s, values, n_max)
         return _add_parts([1] + [0] * n_max, values)
     n_parts = spec.max_parts
-    dp = [[0] * (n_max + 1) for _ in range(n_parts + 1)]
-    dp[0][0] = 1
+    dp = [[1] + [0] * n_max] + [[0] * (n_max + 1) for _ in range(n_parts)]
     ks = range(n_parts, 0, -1) if spec.distinct else range(1, n_parts + 1)
     for v in values:
         for k in ks:
-            cur, prev = dp[k], dp[k - 1]
-            for j in range(v, n_max + 1):
-                below = prev[j - v]
-                if below:
-                    cur[j] += below
-    return [sum(layer[j] for layer in dp) for j in range(n_max + 1)]
+            _add_row(dp[k], dp[k - 1], v)
+    return reduce(_add_row, dp)
 
 
 def _pentagonal_offsets(limit: int) -> tuple[list[int], list[int]]:
@@ -254,17 +256,15 @@ def _at_most_parts(n_parts: int, distinct: bool, n_max: int) -> list[int]:
     part or taking one from each part gives
     P(j, k) = P(j - 1, k - 1) + P(j - k, k); for distinct parts, taking one
     from each part (the 1 vanishes) gives Q(j, k) = Q(j - k, k - 1) + Q(j - k, k).
-    The two differ only in how far back the k - 1 row is read.
+    The two differ only in how far back, 1 or k, the k - 1 row is shifted
+    before one :func:`_add_parts` sweep by k adds the second term.
     """
     prev = [1] + [0] * n_max  # exactly 0 parts
-    total = prev
+    total = prev[:]
     for k in range(1, min(n_parts, n_max) + 1):
         back = k if distinct else 1
-        row = [0] * (n_max + 1)
-        for j in range(k, n_max + 1):
-            row[j] = prev[j - back] + row[j - k]
-        total = list(map(add, total, row))
-        prev = row
+        prev = _add_parts([0] * back + prev[: n_max + 1 - back], (k,))
+        _add_row(total, prev)
     return total
 
 
@@ -371,8 +371,7 @@ def distinct_restricted_table(n_parts: int, n_max: int) -> list[int]:
         tri = i * (i + 1) // 2
         if tri > n_max:
             break
-        _add_parts(base, (i,))  # extend base from "<= i-1 parts" to "<= i parts"
-        for n in range(tri, n_max + 1):
-            out[n] += base[n - tri]
+        # extend base from "<= i-1 parts" to "<= i parts", then shift it in
+        _add_row(out, _add_parts(base, (i,)), tri)
     return out
 

@@ -110,8 +110,6 @@ def beat_spectrum(residual, smooth=None) -> list[tuple[float, float]]:
     x = x - x.mean()
     power = np.abs(np.fft.rfft(x * np.hanning(x.size))) ** 2
     freqs = np.fft.rfftfreq(x.size, d=1.0)
-    if power.size < 3:
-        return []
     floor = max(5.0 * float(np.median(power[1:])), 1e-12 * float(power.max()))
     peaks = [
         (float(freqs[i]), float(power[i]))

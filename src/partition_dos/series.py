@@ -124,12 +124,12 @@ def one_minus_power(k: int, degree: int) -> IntSeries:
     return IntSeries(coeffs)
 
 
-def _product(factor, s: int, degree: int) -> IntSeries:
-    """Product of factor(v, degree) over the part values v <= degree of
-    counting.SpectrumSpec(s): the one product loop."""
+def _product(factor, s: int, degree: int, top: int | None = None) -> IntSeries:
+    """Product of factor(v, degree) over the part values v <= top (degree
+    unless given) of counting.SpectrumSpec(s): the one product loop."""
     spec = counting.SpectrumSpec(s)
     out = IntSeries([1], series_degree(degree))
-    for v in spec.part_values(degree):
+    for v in spec.part_values(degree if top is None else top):
         out = out * factor(v, degree)
     return out
 
@@ -236,8 +236,9 @@ def identities(degree: int):
 
     yield "euler_odd_equals_distinct", counting.odd_parts_table(degree), unbounded[1, True]
 
-    # prod (1 + x^v) = prod 1/(1 - x^v) * prod (1 - x^(2v)) over the part values v.
+    # prod (1 + x^v) = prod 1/(1 - x^v) * prod (1 - x^(2v)) over the part
+    # values v; 1 - x^(2v) is 1 to x^degree once 2v > degree.
     for s in (1, 2):
         rhs = products[s, False] * _product(
-            lambda v, d: one_minus_power(2 * v, d), s, degree)
+            lambda v, d: one_minus_power(2 * v, d), s, degree, degree // 2)
         yield f"euler_factorization_s{s}", products[s, True].coeffs, rhs.coeffs

@@ -226,6 +226,7 @@ def test_figure_datasets(capsys):
     lines = out.strip().splitlines()
     assert lines[1] == "n,diff_unrestricted,diff_restricted"
     assert len(lines) == 2 + 656  # integers strictly inside the validity window
+    assert run(capsys, ["figure", "6"]) == (code, out)  # N = 20 by default
 
 
 def test_exit_codes(capsys):
@@ -329,6 +330,12 @@ USAGE_ERRORS = [
      "--drop-half-term applies only to restricted formulas; add --parts"),
     (["asym", "--s", "3", "--parts", "5", "--max", "2"],
      "--s=3.0 has no restricted formula; --parts needs --s 1"),
+    (["figure", "5", "--parts", "8", "--max", "3"],
+     "--max applies only to figures 1-4, not to figure 5"),
+    (["figure", "6", "--max", "100"], "--max applies only to figures 1-4, not to figure 6"),
+    (["figure", "2", "--parts", "3"], "--parts applies only to figures 5 and 6, not to figure 2"),
+    (["figure", "4", "--max", "-5", "--parts", "20"],
+     "--parts applies only to figures 5 and 6, not to figure 4"),
 ]
 
 
@@ -377,7 +384,7 @@ PARSED = [
     (["fluct", "--max", "5"], {"command": "fluct", "s": 2, "distinct": False, "window": 50,
                                "min": 1, "max": 5, "spectrum": False, **IO}),
     (["audit"], {"command": "audit", "degree": 200, "inject_fault": False, **IO}),
-    (["figure", "1"], {"command": "figure", "id": 1, "parts": 20, "max": None, **IO}),
+    (["figure", "1"], {"command": "figure", "id": 1, "parts": None, "max": None, **IO}),
 ]
 
 

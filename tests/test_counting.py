@@ -287,14 +287,65 @@ def test_packed_distinct_matches_downward_sweep_property(s, n):
 
 @pytest.mark.parametrize("distinct", [False, True])
 def test_void_part_cap_takes_the_unbounded_route(distinct):
-    # A partition of n <= 1000 has at most 1000 parts.  The capped DP would
-    # hold 1001 rows of 1001 counts (8 MB of pointers) and take seconds.
+    # A partition of n <= 1000 has at most 1000 parts, and at most 13 distinct
+    # squares (1 + 4 + ... + 169 = 819 <= 1000 < 1015).  The capped DP would
+    # hold a row of 1001 counts per part (8 MB of pointers for 1001 rows).
     free = counting._knapsack(pd.SpectrumSpec(2, distinct), 1000)
-    for cap in (1000, 3000):
+    for cap in (1000, 3000) + ((13, 14, 500) if distinct else ()):
         spec = pd.SpectrumSpec(2, distinct, cap)
         table, peak = _peak_bytes(lambda: counting._knapsack(spec, 1000))
         assert table == free
         assert peak < 2**20
+    # A cap below the most parts still binds: 819 = 1 + 4 + ... + 169.
+    capped = pd.SpectrumSpec(2, distinct, 12)
+    table = counting._knapsack(capped, 1000)
+    assert table[819] < free[819]
+    assert table == _capped_loop(capped, 1000)
+
+
+def _capped_loop(spec, n_max):
+    """Counts of n = 0..n_max into at most spec.max_parts parts, by one
+    Python add per nonzero entry.
+
+    dp[k][j] = partitions of j into exactly k parts; each part value v adds
+    dp[k - 1][j - v] into dp[k][j], with k downward for distinct parts and
+    upward for multisets.  The oracle for the row-at-a-time capped DP of
+    counting._knapsack, which it replaced; it never takes the unbounded route.
+    """
+    values = spec.part_values(n_max)
+    n_parts = spec.max_parts
+    dp = [[0] * (n_max + 1) for _ in range(n_parts + 1)]
+    dp[0][0] = 1
+    ks = range(n_parts, 0, -1) if spec.distinct else range(1, n_parts + 1)
+    for v in values:
+        for k in ks:
+            cur, prev = dp[k], dp[k - 1]
+            for j in range(v, n_max + 1):
+                below = prev[j - v]
+                if below:
+                    cur[j] += below
+    return [sum(layer[j] for layer in dp) for j in range(n_max + 1)]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("parts", [1, 2, 5, 20])
+def test_capped_knapsack_matches_loop(s, distinct, parts):
+    for n in (0, 1, 2, 50, 600):
+        spec = pd.SpectrumSpec(s, distinct, parts)
+        assert counting._knapsack(spec, n) == _capped_loop(spec, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    s=st.integers(1, 3),
+    distinct=st.booleans(),
+    parts=st.integers(1, 30),
+    n=st.integers(0, 400),
+)
+def test_capped_knapsack_matches_loop_property(s, distinct, parts, n):
+    spec = pd.SpectrumSpec(s, distinct, parts)
+    assert counting._knapsack(spec, n) == _capped_loop(spec, n)
 
 
 @pytest.mark.parametrize(
