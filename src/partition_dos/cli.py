@@ -38,11 +38,7 @@ EXIT_NUMERIC = 4
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))  # a numpy float64 reprs as np.float64(x)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _json_cell(value):

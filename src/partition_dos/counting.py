@@ -168,14 +168,20 @@ def _packed_distinct(s: int, values: list[int], n_max: int) -> list[int]:
     return lanes
 
 
+def _most_parts(values, distinct: bool, n_max: int) -> int:
+    """The most parts any n <= n_max can have, given the increasing part
+    values: n_max ones, or for distinct parts the largest k with
+    v_1 + ... + v_k <= n_max (20 squares, or 76 integers, at n_max = 3000).
+    A part cap from there on binds nothing."""
+    return bisect_right([*accumulate(values)], n_max) if distinct else n_max
+
+
 def _knapsack(spec: SpectrumSpec, n_max: int) -> list[int]:
     """Counts for n = 0..n_max by a knapsack sweep over the part values.
 
     The route for every s >= 2 spec, and the oracle the tests hold the s = 1
     recurrences of :func:`build_table` to.  A cap binds nothing, and the
-    spec counts as unbounded, once it reaches the most parts any n <= n_max
-    has: n_max ones, or for distinct parts the largest k with
-    v_1 + ... + v_k <= n_max (20 squares at n_max = 3000).  Unbounded
+    spec counts as unbounded, once it reaches :func:`_most_parts`.  Unbounded
     distinct parts are one :func:`_packed_distinct` product; unbounded
     multisets are one :func:`_add_parts` sweep, because the packed form of
     1/(1 - x**v) needs log2(n_max/v) doubling steps per value: measured on
@@ -190,8 +196,7 @@ def _knapsack(spec: SpectrumSpec, n_max: int) -> list[int]:
     dp[k - 1] that already holds v, so v may repeat.  _add_row sums the rows.
     """
     values = spec.part_values(n_max)
-    most = bisect_right([*accumulate(values)], n_max) if spec.distinct else n_max
-    if spec.max_parts is None or spec.max_parts >= most:
+    if spec.max_parts is None or spec.max_parts >= _most_parts(values, spec.distinct, n_max):
         if spec.distinct:
             return _packed_distinct(spec.s, values, n_max)
         return _add_parts([1] + [0] * n_max, values)
@@ -257,11 +262,13 @@ def _at_most_parts(n_parts: int, distinct: bool, n_max: int) -> list[int]:
     P(j, k) = P(j - 1, k - 1) + P(j - k, k); for distinct parts, taking one
     from each part (the 1 vanishes) gives Q(j, k) = Q(j - k, k - 1) + Q(j - k, k).
     The two differ only in how far back, 1 or k, the k - 1 row is shifted
-    before one :func:`_add_parts` sweep by k adds the second term.
+    before one :func:`_add_parts` sweep by k adds the second term.  Rows
+    past :func:`_most_parts` are all zero and are not built.
     """
     prev = [1] + [0] * n_max  # exactly 0 parts
     total = prev[:]
-    for k in range(1, min(n_parts, n_max) + 1):
+    most = _most_parts(range(1, n_max + 1), distinct, n_max)
+    for k in range(1, min(n_parts, most) + 1):
         back = k if distinct else 1
         prev = _add_parts([0] * back + prev[: n_max + 1 - back], (k,))
         _add_row(total, prev)

@@ -12,6 +12,9 @@ even though all final counts are nonnegative.
 
 One builder, _product, forms every product over the part values m**s that
 counting.SpectrumSpec lists, and identities() builds each product once.
+The series arithmetic uses the exact tables' shifted-row add,
+counting._add_row: a product is one row add per nonzero coefficient of its
+sparser operand, and a sum is one row add.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import operator
 from dataclasses import dataclass
 
 from . import counting
+from .counting import _add_row
 from .errors import DomainError
 from .limits import integer, series_degree
 
@@ -67,25 +71,32 @@ class IntSeries:
         return hash(self._coeffs)
 
     def __add__(self, other: "IntSeries") -> "IntSeries":
-        d = min(self.degree, other.degree)
-        return IntSeries([self._coeffs[i] + other._coeffs[i] for i in range(d + 1)])
+        a, b = self._coeffs, other._coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        return IntSeries(_add_row(list(a), b))
 
     def __mul__(self, other: "IntSeries") -> "IntSeries":
+        """The product truncated at the smaller degree.
+
+        A convolution: each nonzero a_i of the sparser operand adds the other
+        operand, times a_i and shifted by i, into the result with one
+        counting._add_row.  Every row it adds comes from the two operands,
+        never from the partial result, so the products stay independent of
+        the in-place _add_parts recurrence they are checked against in
+        gf_vs_dp_bose_s2: the convolution oracle for the knapsack sweep.
+        """
         d = min(self.degree, other.degree)
         a, b = self._coeffs, other._coeffs
         # Iterate the sparser operand on the outside; the factors built here
-        # (geometric tails, 1 +/- x^k) are mostly zeros.
+        # (geometric tails, 1 +/- x^k) are mostly zeros and their nonzero
+        # coefficients are +/-1, so most rows need no scaling.
         if a[: d + 1].count(0) < b[: d + 1].count(0):
             a, b = b, a
         out = [0] * (d + 1)
-        for i in range(d + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(d - i + 1):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
+        for i, ai in enumerate(a[: d + 1]):
+            if ai:
+                _add_row(out, b if ai == 1 else [ai * bj for bj in b[: d + 1 - i]], i)
         return IntSeries(out)
 
     def __repr__(self) -> str:
@@ -155,14 +166,15 @@ def distinct_restricted_gf(n_parts: int, degree: int) -> IntSeries:
     identity staircase_series.
     """
     integer("n_parts", n_parts, 1)
-    out = prod = IntSeries([1], series_degree(degree))
+    prod = IntSeries([1], series_degree(degree))
+    out = [1] + [0] * degree
     for i in range(1, n_parts + 1):
         tri = i * (i + 1) // 2
         if tri > degree:
             break
         prod = prod * geometric_factor(i, degree)
-        out = out + prod.shifted(tri)
-    return out
+        _add_row(out, prod.coeffs, tri)
+    return IntSeries(out)
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,29 @@ def test_void_part_cap_takes_the_unbounded_route(distinct):
     assert table == _capped_loop(capped, 1000)
 
 
+def test_distinct_exactly_k_rows_stop_at_the_most_parts(monkeypatch):
+    # 1 + 2 + ... + 76 = 2926 <= 3000 < 3003: no n <= 3000 has 77 distinct
+    # parts, so the s = 1 recurrence builds 76 exactly-k rows, not 3000.
+    sweeps = []
+    sweep = counting._add_parts
+
+    def counted(row, values):
+        sweeps.append(values)
+        return sweep(row, values)
+
+    monkeypatch.setattr(counting, "_add_parts", counted)
+    free = pd.build_table(pd.SpectrumSpec(1, True), 3000).counts  # pentagonal
+    assert sweeps == []
+    assert pd.build_table(pd.SpectrumSpec(1, True, 3000), 3000).counts == free
+    assert len(sweeps) == 76
+    # A cap below the most parts still binds, and still matches its oracle.
+    sweeps.clear()
+    capped = pd.build_table(pd.SpectrumSpec(1, True, 20), 3000).counts
+    assert len(sweeps) == 20
+    assert list(capped) == pd.distinct_restricted_table(20, 3000)
+    assert capped[3000] < free[3000]
+
+
 def _capped_loop(spec, n_max):
     """Counts of n = 0..n_max into at most spec.max_parts parts, by one
     Python add per nonzero entry.

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import partition_dos as pd
-from partition_dos import series
+from partition_dos import counting, series
 from partition_dos.errors import DomainError, ResourceLimitError
 
 small_series = st.lists(st.integers(-9, 9), min_size=1, max_size=13).map(pd.IntSeries)
@@ -45,6 +45,14 @@ def test_mul_ten_random_series_association_orders():
 @example(a=[0, 0, 0, 0, 0], b=[1, 2, 0, 0, 3, 0, 0, 0, 4])
 @example(a=[5, 0, 0, 0, 0, 0, 0, 0, 1, 0], b=[1, -1, 2, 0, 3, 0])
 @example(a=[1, 1, 1, 1, 1, 1, 1], b=[1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0])
+# Dense operands whose coefficients and products pass 2**64.
+@example(a=[2**64 + 1, 3, -(2**70), 5, 2**65], b=[-(2**66), 7, 2**64, -1, 9, 2**80])
+# A sparse operand with -1 and |a_i| > 1: scaled rows, shifted.
+@example(a=[0, -1, 0, 0, 3, 0, 0, -4, 0, 0], b=[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
+# The longer operand is also the sparser one, so the shorter one is the row.
+@example(a=[1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 2], b=[1, 2, 3, 4, 5, 6, 7])
+# The row is the longer operand and is cut at the shared degree.
+@example(a=[0, 1, 0, -1], b=[3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5])
 def test_mul_matches_plain_convolution(a, b):
     d = min(len(a), len(b)) - 1
     want = tuple(sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(d + 1))
@@ -75,6 +83,13 @@ def test_mul_distributes_over_add(a, b, c):
     assert lhs == rhs
 
 
+@settings(max_examples=80, deadline=None)
+@given(a=sparse_coeffs, b=sparse_coeffs)
+def test_add_is_elementwise_to_the_shorter_degree(a, b):
+    want = tuple(x + y for x, y in zip(a, b))
+    assert (pd.IntSeries(a) + pd.IntSeries(b)).coeffs == want
+
+
 def test_add_and_result_degree():
     total = pd.IntSeries([1, 2, 3, 4]) + pd.IntSeries([1, 1])
     assert total.coeffs == (2, 3)
@@ -94,8 +109,36 @@ def test_fermi_gf_examples():
 def test_distinct_restricted_gf_examples():
     assert pd.distinct_restricted_gf(4, 5).coefficient(5) == 3
     assert pd.distinct_restricted_gf(1, 4).coeffs == (1, 1, 1, 1, 1)
-    got = pd.distinct_restricted_gf(30, 200).coeffs
-    assert list(got) == pd.distinct_restricted_table(30, 200)
+
+
+@pytest.mark.parametrize("n_parts", [1, 2, 7, 19, 20, 30])
+def test_distinct_restricted_gf_matches_staircase_table(n_parts):
+    # 19 is the last N whose staircase 19*20/2 = 190 fits under degree 200.
+    got = pd.distinct_restricted_gf(n_parts, 200).coeffs
+    assert list(got) == pd.distinct_restricted_table(n_parts, 200)
+
+
+def test_products_and_tables_share_no_row_step(monkeypatch):
+    """The products and the s = 2 tables check each other in gf_vs_dp_*_s2,
+    so neither may run the other's row step: the products never sweep with
+    counting._add_parts, and the unbounded tables never call counting._add_row."""
+
+    def refuse(*args):
+        raise AssertionError("row step of the other route")
+
+    tables = {d: pd.build_table(pd.SpectrumSpec(2, d), 60).counts for d in (False, True)}
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "_add_parts", refuse)
+        with pytest.raises(AssertionError):
+            pd.build_table(pd.SpectrumSpec(2), 60)  # the patch is in effect
+        assert pd.bose_gf(2, 60).coeffs == tables[False]
+        assert pd.fermi_gf(2, 60).coeffs == tables[True]
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "_add_row", refuse)
+        with pytest.raises(AssertionError):
+            pd.build_table(pd.SpectrumSpec(2, False, 5), 60)  # the patch is in effect
+        for d in (False, True):
+            assert pd.build_table(pd.SpectrumSpec(2, d), 60).counts == tables[d]
 
 
 def test_gf_coefficients_match_tables():
