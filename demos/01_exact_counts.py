@@ -7,6 +7,7 @@ from partition_dos import (
     SpectrumSpec,
     build_table,
     count,
+    distinct_restricted_gf,
     distinct_restricted_table,
     enumerate_partitions,
 )
@@ -31,7 +32,8 @@ print("\np(100)  =", table[100])
 print("p(1000) =", table[1000])
 
 # Distinct-with-a-part-cap counts can be rebuilt purely from plain
-# restricted counts by peeling off a staircase; both routes agree.
+# restricted counts by peeling off a staircase; the generating function
+# of that decomposition agrees.
 print("\nd_30(100) via staircase identity:", distinct_restricted_table(30, 100)[100])
-print("d_30(100) via the exactly-k recurrence:",
-      count(SpectrumSpec(s=1, distinct=True, max_parts=30), 100))
+print("d_30(100) via its generating function:",
+      distinct_restricted_gf(30, 100).coefficient(100))

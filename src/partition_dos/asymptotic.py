@@ -30,6 +30,8 @@ FERMI = "fermi"
 #: C(1) = pi**2/6; also the lower edge of the restricted-formula validity region.
 C1 = math.pi**2 / 6
 
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
 # Term count for the accelerated alternating series; the acceleration gains
 # a factor (3 + sqrt(8)) per term, so 40 terms are far below double rounding.
 _ACCEL_TERMS = 40
@@ -132,18 +134,21 @@ def rho_unrestricted(model: AsymptoticModel, E: float) -> float:
                 raise DomainError(f"E={E!r} does not exceed 1/24, as the shift needs")
             E = E - 1.0 / 24.0
         k = model.kappa
+        # (2 pi)**((s+1)/2) divides inside the exp: alone it overflows a
+        # float from s ~ 770 on, where the density is still finite.
         return (
             k
-            / (2.0 * math.pi) ** ((s + 1.0) / 2.0)
             * math.sqrt(s / (s + 1.0))
             * E ** (-(3.0 * s + 1.0) / (2.0 * (s + 1.0)))
-            * math.exp(k * (s + 1.0) * E ** (1.0 / (1.0 + s)))
+            * math.exp(k * (s + 1.0) * E ** (1.0 / (1.0 + s)) - (s + 1.0) * _LOG_SQRT_2PI)
         )
     lam = model.lam
+    # E's power is taken negative, so a tiny E cannot underflow a divisor.
     return (
-        math.sqrt(s * lam)
+        math.sqrt(s * lam / (math.pi * (1.0 + s)))
+        / 2.0
+        * E ** (-(2.0 * s + 1.0) / (2.0 * (s + 1.0)))
         * math.exp((1.0 + s) * lam * E ** (1.0 / (1.0 + s)))
-        / (2.0 * math.sqrt(math.pi * (1.0 + s) * E ** ((2.0 * s + 1.0) / (s + 1.0))))
     )
 
 

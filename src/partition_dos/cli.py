@@ -279,11 +279,10 @@ def cmd_figure(args) -> int:
     n_parts = 20 if args.parts is None else args.parts
     grid = _validity_grid(n_parts)
     top = grid.stop - 1
+    table = counting.build_table(counting.SpectrumSpec(1, fid == 6, n_parts), top).counts
     if fid == 5:
-        table = counting.conjugate_restricted_table(n_parts, top)
         free, capped = asymptotic.bose_density_s1, asymptotic.rho_restricted_bose
     else:
-        table = counting.distinct_restricted_table(n_parts, top)
         free, capped = asymptotic.fermi_density_s1, asymptotic.rho_restricted_fermi
     rows = [(n, free(float(n)) - float(table[n]),
              capped(float(n), n_parts) - float(table[n])) for n in grid]

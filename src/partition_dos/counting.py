@@ -6,14 +6,17 @@ d^s(n), and an optional cap on the number of parts gives the restricted
 variants p_N^s(n) / d_N^s(n) ("at most N parts").  All counts are exact
 Python integers; nothing here ever rounds.
 
-:func:`build_table` counts s = 1 by classical recurrences and every s >= 2
-spec by a knapsack sweep, which also serves as the tests' oracle for the
-recurrences.  The other tables here are second routes to s = 1 counts: each
-docstring names the table it is the oracle for.  Only SpectrumSpec.part_values
-lists the part values.  Every knapsack and recurrence table is built from
-two row steps: the sweep _add_parts, row[j] += row[j - v], and the shifted
-add _add_row, dst[j] += src[j - shift].  Beside them, the only table
-arithmetic is the pentagonal recurrence and the packed product _packed_distinct.
+:func:`build_table` is the one place that picks how a count is computed:
+s = 1 by the pentagonal recurrence, or by the conjugate sweep or the
+staircase when a part cap binds, and every s >= 2 spec by a knapsack sweep,
+which also serves as the tests' oracle for the s = 1 routes.  The exactly-k
+recurrence :func:`_at_most_parts` is kept only as the audit's reference for
+the two capped s = 1 tables, and :func:`odd_parts_table` as its reference
+for d(n).  Only SpectrumSpec.part_values lists the part values.  Every
+knapsack and recurrence table is built from two row steps: the sweep
+_add_parts, row[j] += row[j - v], and the shifted add _add_row,
+dst[j] += src[j - shift].  Beside them, the only table arithmetic is the
+pentagonal recurrence and the packed product _packed_distinct.
 """
 
 from __future__ import annotations
@@ -86,18 +89,24 @@ class PartitionTable:
 def build_table(spec: SpectrumSpec, n_max: int) -> PartitionTable:
     """Count partitions for every n in 0..n_max.
 
-    s = 1 specs use the classical recurrences (Andrews, *The Theory of
-    Partitions*, ch. 1-2 and 14): Euler's pentagonal recurrence for p(n) and
-    its variant for d(n), and the exactly-k recurrences once the number of
-    parts is capped.  Every s >= 2 spec goes through :func:`_knapsack`.
+    s = 1 specs use the classical routes (Andrews, *The Theory of
+    Partitions*, ch. 1-2 and 14).  Euler's pentagonal recurrence gives p(n),
+    and its variant d(n), whenever no part cap binds: none is set, or it
+    reaches :func:`_most_parts`.  A binding cap on multisets takes the
+    conjugate sweep :func:`conjugate_restricted_table`, and one on distinct
+    parts the staircase :func:`distinct_restricted_table`.  Every s >= 2
+    spec goes through :func:`_knapsack`.
     """
     table_size("n_max", n_max)
+    cap = spec.max_parts
     if spec.s != 1:
         counts = _knapsack(spec, n_max)
-    elif spec.max_parts is not None:
-        counts = _at_most_parts(spec.max_parts, spec.distinct, n_max)
-    else:
+    elif cap is None or cap >= _most_parts(range(1, n_max + 1), spec.distinct, n_max):
         counts = _pentagonal(n_max, spec.distinct)
+    elif spec.distinct:
+        counts = distinct_restricted_table(cap, n_max)
+    else:
+        counts = conjugate_restricted_table(cap, n_max)
     return PartitionTable(spec, tuple(counts))
 
 
@@ -180,7 +189,7 @@ def _knapsack(spec: SpectrumSpec, n_max: int) -> list[int]:
     """Counts for n = 0..n_max by a knapsack sweep over the part values.
 
     The route for every s >= 2 spec, and the oracle the tests hold the s = 1
-    recurrences of :func:`build_table` to.  A cap binds nothing, and the
+    routes of :func:`build_table` to.  A cap binds nothing, and the
     spec counts as unbounded, once it reaches :func:`_most_parts`.  Unbounded
     distinct parts are one :func:`_packed_distinct` product; unbounded
     multisets are one :func:`_add_parts` sweep, because the packed form of
@@ -256,6 +265,9 @@ def _pentagonal(n_max: int, distinct: bool = False) -> list[int]:
 def _at_most_parts(n_parts: int, distinct: bool, n_max: int) -> list[int]:
     """Partitions of n = 0..n_max into at most n_parts parts, s = 1.
 
+    Kept only as the reference the audit identities conjugation_N* and
+    staircase_decomposition_N* hold :func:`conjugate_restricted_table` and
+    :func:`distinct_restricted_table` to; :func:`build_table` never calls it.
     Summed over the exactly-k rows, k = 0..n_parts, in O(n_parts * n_max) adds.
     Split by whether the smallest part is 1.  For multisets, dropping that
     part or taking one from each part gives
@@ -334,11 +346,11 @@ def conjugate_restricted_table(n_parts: int, n_max: int) -> list[int]:
     swaps "at most N parts" with "every part <= N", so a single unbounded
     knapsack over the part values 1..N suffices.  s = 1, repeats allowed.
 
-    Kept as the oracle for the exactly-k recurrence of
-    build_table(SpectrumSpec(1, False, n_parts), ...), which the audit
-    identities conjugation_N* check it against; it is also the exact count
-    behind figure 5.  The tests hold it in turn to the finite product of
-    series.geometric_factor(v, n_max) over v = 1..N.
+    The route build_table(SpectrumSpec(1, False, n_parts), ...) takes when
+    the cap binds, and so the exact count behind figure 5; the audit
+    identities conjugation_N* hold it to the exactly-k recurrence
+    :func:`_at_most_parts`.  The tests hold it in turn to the finite product
+    of series.geometric_factor(v, n_max) over v = 1..N.
     """
     integer("n_parts", n_parts, 1)
     table_size("n_max", n_max)
@@ -365,10 +377,10 @@ def distinct_restricted_table(n_parts: int, n_max: int) -> list[int]:
         d_N(n) = sum over i = 0..N of p_i(n - i(i+1)/2),
 
     where p_i is the at-most-i-parts count and the i = 0 term is the empty
-    partition at n = 0.  This touches only plain restricted counts, which
-    makes it the oracle for the distinct exactly-k recurrence of
-    build_table(SpectrumSpec(1, True, n_parts), ...) in the audit identities
-    staircase_decomposition_N*; it is also the exact count behind figure 6.
+    partition at n = 0.  The route build_table(SpectrumSpec(1, True,
+    n_parts), ...) takes when the cap binds, and so the exact count behind
+    figure 6; the audit identities staircase_decomposition_N* hold it to
+    the distinct exactly-k recurrence :func:`_at_most_parts`.
     """
     integer("n_parts", n_parts, 1)
     table_size("n_max", n_max)

@@ -209,31 +209,30 @@ def identities(degree: int):
 
     lhs and rhs are coefficient sequences of length degree + 1 that agree
     term by term when the identity holds.  Each pairs a fast route with an
-    independent one: generating functions against the build_table counts
-    (pentagonal recurrences for s = 1, the knapsack for s = 2), the
-    staircase decomposition and Young-diagram conjugation against the
-    exactly-k recurrences, and Euler's distinct = odd parts in table and
-    product form.  Each product is built once and read by every identity
-    that needs it.  The names and their order are the output contract of
-    the `audit` command.  The degree is checked against its cap before
-    the first table is built.
+    independent one.  Generating functions meet the build_table counts
+    (pentagonal recurrences for s = 1, the knapsack for s = 2).  The
+    staircase decomposition and Young-diagram conjugation, the routes
+    build_table takes for a binding s = 1 part cap, meet the exactly-k
+    recurrence counting._at_most_parts, which is kept only for this.
+    Euler's distinct = odd parts is checked in table and product form.
+    Each product is built once and read by every identity that needs it.
+    The names and their order are the output contract of the `audit`
+    command.  The degree is checked against its cap before the first
+    table is built.
     """
     series_degree(degree)
 
-    def table(s: int, distinct: bool, n_parts: int | None = None) -> tuple[int, ...]:
-        spec = counting.SpectrumSpec(s, distinct, n_parts)
-        return counting.build_table(spec, degree).counts
-
     unbounded, products = {}, {}
     for s, distinct in ((1, False), (2, False), (1, True), (2, True)):
-        dp = unbounded[s, distinct] = table(s, distinct)
+        spec = counting.SpectrumSpec(s, distinct)
+        dp = unbounded[s, distinct] = counting.build_table(spec, degree).counts
         gf = products[s, distinct] = fermi_gf(s, degree) if distinct else bose_gf(s, degree)
         yield f"gf_vs_dp_{'fermi' if distinct else 'bose'}_s{s}", gf.coeffs, dp
 
     for n_parts in (4, 10, 30):
         yield (f"staircase_decomposition_N{n_parts}",
                counting.distinct_restricted_table(n_parts, degree),
-               table(1, True, n_parts))
+               counting._at_most_parts(n_parts, True, degree))
 
     # The full distinct product equals the staircase sum once every
     # staircase offset i(i+1)/2 <= degree is included; the sum stops at the
@@ -244,7 +243,7 @@ def identities(degree: int):
     for n_parts in (2, 7, 20, 50):
         yield (f"conjugation_N{n_parts}",
                counting.conjugate_restricted_table(n_parts, degree),
-               table(1, False, n_parts))
+               counting._at_most_parts(n_parts, False, degree))
 
     yield "euler_odd_equals_distinct", counting.odd_parts_table(degree), unbounded[1, True]
 

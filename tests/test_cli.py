@@ -131,6 +131,34 @@ def test_asym_matches_library(capsys):
     assert valid == "0"
 
 
+def _log_rho(model, E):
+    """ln of rho_unrestricted(model, E), summed in logs so it cannot overflow."""
+    s = model.s
+    if model.statistics == pd.BOSE:
+        k = model.kappa
+        return (math.log(k) - (s + 1) / 2 * math.log(2 * math.pi)
+                + 0.5 * math.log(s / (s + 1)) - (3 * s + 1) / (2 * (s + 1)) * math.log(E)
+                + k * (s + 1) * E ** (1 / (1 + s)))
+    lam = model.lam
+    return (0.5 * math.log(s * lam) + (1 + s) * lam * E ** (1 / (1 + s)) - math.log(2)
+            - 0.5 * math.log(math.pi * (1 + s)) - (2 * s + 1) / (2 * (s + 1)) * math.log(E))
+
+
+@pytest.mark.parametrize(
+    "s, statistics, energy",
+    # (2 pi)**(801/2) alone overflows; E**(5/3) underflows to 0 at E = 1e-300.
+    [("800", "bose", 3.0), ("2", "fermi", 1e-300)],
+)
+def test_finite_density_next_to_an_overflowing_part(capsys, s, statistics, energy):
+    code, out = run(capsys, ["asym", "--s", s, "--statistics", statistics,
+                             "--energies", repr(energy)])
+    assert code == 0
+    value = float(last_row(out).split(",")[1])
+    assert math.isfinite(value)
+    expected = math.exp(_log_rho(pd.make_model(float(s), statistics), energy))
+    assert value == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize("statistics", ["bose", "fermi"])
 def test_asym_drop_half_term(capsys, statistics):
     _, out = run(capsys, ["asym", "--statistics", statistics, "--parts", "20",
@@ -579,6 +607,46 @@ def test_every_error_type_maps_to_an_exit_code(capsys, monkeypatch, error):
     assert captured.out == ""
     assert captured.err.endswith(": raised inside a command\n")
     assert captured.err.count("\n") == 1
+
+
+class ExactlyKReached(Exception):
+    pass
+
+
+CAPPED_S1_COMMANDS = [
+    ["exact", "--parts", "30", "--max", "400"],
+    ["exact", "--distinct", "--parts", "12", "--max", "400"],
+    ["exact", "--parts", "400", "--max", "400"],
+    ["figure", "5", "--parts", "12"],
+    ["figure", "6", "--parts", "12"],
+]
+
+
+def test_capped_s1_commands_never_reach_the_exactly_k_recurrence(capsys, monkeypatch):
+    # The bytes each command writes when build_table counts a capped s = 1
+    # spec by the exactly-k recurrence, as it once did, are the reference.
+    build, exactly_k = counting.build_table, counting._at_most_parts
+
+    def by_exactly_k(spec, n_max):
+        if spec.s == 1 and spec.max_parts is not None:
+            counts = exactly_k(spec.max_parts, spec.distinct, n_max)
+            return counting.PartitionTable(spec, tuple(counts))
+        return build(spec, n_max)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "build_table", by_exactly_k)
+        expected = [run(capsys, argv) for argv in CAPPED_S1_COMMANDS]
+        tables = [by_exactly_k(pd.SpectrumSpec(1, d, 25), 300).counts for d in (False, True)]
+
+    def unreachable(*args):
+        raise ExactlyKReached
+
+    monkeypatch.setattr(counting, "_at_most_parts", unreachable)
+    assert [run(capsys, argv) for argv in CAPPED_S1_COMMANDS] == expected
+    assert [build(pd.SpectrumSpec(1, d, 25), 300).counts for d in (False, True)] == tables
+    # Only the audit holds the capped tables to the recurrence.
+    with pytest.raises(ExactlyKReached):
+        cli.main(["audit", "--degree", "40"])
 
 
 def readme_commands() -> list[list[str]]:

@@ -174,11 +174,10 @@ def test_dominance():
 
 
 def test_conjugation_both_orderings():
-    # At-most-N-parts (2D DP) equals all-parts-<=N (conjugate sweep), s=1.
+    # At-most-N-parts (exactly-k recurrence) equals all-parts-<=N (conjugate sweep), s=1.
     for n_parts in (1, 2, 3, 5, 8, 13, 21, 34, 50):
         conj = pd.conjugate_restricted_table(n_parts, 500)
-        direct = pd.build_table(pd.SpectrumSpec(1, False, n_parts), 500).counts
-        assert tuple(conj) == direct
+        assert conj == counting._at_most_parts(n_parts, False, 500)
 
 
 def test_euler_odd_equals_distinct():
@@ -190,16 +189,13 @@ def test_euler_odd_equals_distinct():
 def test_staircase_identity_examples():
     assert pd.distinct_restricted_table(4, 5)[5] == 3
     assert pd.distinct_restricted_table(1, 7)[7] == 1
-    assert pd.distinct_restricted_table(30, 100)[100] == pd.count(
-        pd.SpectrumSpec(1, True, 30), 100
-    )
+    assert pd.distinct_restricted_table(30, 100)[100] == counting._at_most_parts(30, True, 100)[100]
 
 
 def test_staircase_identity_tables():
     for n_parts in (1, 4, 10, 30):
         via_identity = pd.distinct_restricted_table(n_parts, 200)
-        direct = pd.build_table(pd.SpectrumSpec(1, True, n_parts), 200).counts
-        assert tuple(via_identity) == direct
+        assert via_identity == counting._at_most_parts(n_parts, True, 200)
 
 
 @settings(max_examples=60, deadline=None)
@@ -217,9 +213,7 @@ def test_count_matches_enumeration_oracle(s, distinct, parts, n):
 @settings(max_examples=40, deadline=None)
 @given(n_parts=st.integers(1, 12), n=st.integers(0, 60))
 def test_staircase_identity_random_spots(n_parts, n):
-    assert pd.distinct_restricted_table(n_parts, n)[n] == pd.count(
-        pd.SpectrumSpec(1, True, n_parts), n
-    )
+    assert pd.distinct_restricted_table(n_parts, n)[n] == counting._at_most_parts(n_parts, True, n)[n]
 
 
 @pytest.mark.parametrize("distinct", [False, True])
@@ -305,7 +299,8 @@ def test_void_part_cap_takes_the_unbounded_route(distinct):
 
 def test_distinct_exactly_k_rows_stop_at_the_most_parts(monkeypatch):
     # 1 + 2 + ... + 76 = 2926 <= 3000 < 3003: no n <= 3000 has 77 distinct
-    # parts, so the s = 1 recurrence builds 76 exactly-k rows, not 3000.
+    # parts, so the exactly-k recurrence builds 76 rows, not 3000, and
+    # build_table takes the pentagonal route, which sweeps nothing.
     sweeps = []
     sweep = counting._add_parts
 
@@ -315,15 +310,65 @@ def test_distinct_exactly_k_rows_stop_at_the_most_parts(monkeypatch):
 
     monkeypatch.setattr(counting, "_add_parts", counted)
     free = pd.build_table(pd.SpectrumSpec(1, True), 3000).counts  # pentagonal
-    assert sweeps == []
     assert pd.build_table(pd.SpectrumSpec(1, True, 3000), 3000).counts == free
+    assert sweeps == []
+    assert tuple(counting._at_most_parts(3000, True, 3000)) == free
     assert len(sweeps) == 76
     # A cap below the most parts still binds, and still matches its oracle.
-    sweeps.clear()
     capped = pd.build_table(pd.SpectrumSpec(1, True, 20), 3000).counts
-    assert len(sweeps) == 20
-    assert list(capped) == pd.distinct_restricted_table(20, 3000)
+    assert list(capped) == counting._at_most_parts(20, True, 3000)
     assert capped[3000] < free[3000]
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 100, 601, 3000])
+def test_s1_capped_table_matches_exactly_k_recurrence(distinct, n):
+    # 76 is the most distinct parts at n = 3000; n + 1 is a void cap for both kinds.
+    for parts in (1, 2, 5, 20, 75, 76, 77, n + 1):
+        table = pd.build_table(pd.SpectrumSpec(1, distinct, parts), n).counts
+        assert list(table) == counting._at_most_parts(parts, distinct, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(distinct=st.booleans(), parts=st.integers(1, 120), n=st.integers(0, 800))
+def test_s1_capped_table_matches_exactly_k_recurrence_property(distinct, parts, n):
+    table = pd.build_table(pd.SpectrumSpec(1, distinct, parts), n).counts
+    assert list(table) == counting._at_most_parts(parts, distinct, n)
+
+
+@pytest.mark.parametrize(
+    "distinct,parts,route",
+    [
+        (False, None, "_pentagonal"),
+        (False, 3000, "_pentagonal"),
+        (False, 10**6, "_pentagonal"),
+        (False, 2999, "conjugate_restricted_table"),
+        (False, 20, "conjugate_restricted_table"),
+        (True, None, "_pentagonal"),
+        (True, 76, "_pentagonal"),
+        (True, 3000, "_pentagonal"),
+        (True, 75, "distinct_restricted_table"),
+        (True, 20, "distinct_restricted_table"),
+    ],
+)
+def test_s1_table_takes_one_route(monkeypatch, distinct, parts, route):
+    # A void cap (at least the most parts any n <= 3000 can have: 3000, or
+    # 76 distinct) takes the pentagonal recurrence; a binding one takes the
+    # conjugate sweep or the staircase.  The exactly-k recurrence is never used.
+    taken = []
+    for name in ("_pentagonal", "conjugate_restricted_table", "distinct_restricted_table"):
+        def record(*args, _name=name, _orig=getattr(counting, name)):
+            taken.append(_name)
+            return _orig(*args)
+
+        monkeypatch.setattr(counting, name, record)
+
+    def unused(*args):
+        raise AssertionError("build_table reached the exactly-k recurrence")
+
+    monkeypatch.setattr(counting, "_at_most_parts", unused)
+    pd.build_table(pd.SpectrumSpec(1, distinct, parts), 3000)
+    assert taken == [route]
 
 
 def _capped_loop(spec, n_max):
