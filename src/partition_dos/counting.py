@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import add
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError
 from .limits import integer, table_size
@@ -120,9 +120,10 @@ def _add_parts(row: list[int], values) -> list[int]:
     return row
 
 
-def _add_row(dst: list[int], src: list[int], shift: int = 0) -> list[int]:
+def _add_row(dst: list[int], src: Iterable[int], shift: int = 0) -> list[int]:
     """dst[j] += src[j - shift] for every j >= shift, in place and in C, as
-    one slice assignment; return `dst`.  src is at least len(dst) - shift long."""
+    one slice assignment; return `dst`.  src yields at least len(dst) - shift
+    values and is read no further."""
     dst[shift:] = map(add, dst[shift:], src)
     return dst
 

@@ -14,13 +14,18 @@ One builder, _product, forms every product over the part values m**s that
 counting.SpectrumSpec lists, and identities() builds each product once.
 The series arithmetic uses the exact tables' shifted-row add,
 counting._add_row: a product is one row add per nonzero coefficient of its
-sparser operand, and a sum is one row add.
+sparser operand, and a sum is one row add.  A product starts from its first
+row, the other operand shifted and scaled, rather than adding it into zeros;
+it finds the nonzero coefficients with itertools.compress and scales rows
+with map, so its zeros are skipped in C.  Results built here from ints are
+wrapped by _unchecked, without the constructor's per-coefficient check.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 from . import counting
 from .counting import _add_row
@@ -61,8 +66,8 @@ class IntSeries:
         integer("shift", k, 0)
         d = self.degree
         if k > d:
-            return IntSeries([0], d)
-        return IntSeries([0] * k + list(self._coeffs[: d + 1 - k]), d)
+            return _unchecked((0,) * (d + 1))
+        return _unchecked((0,) * k + self._coeffs[: d + 1 - k])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntSeries) and self._coeffs == other._coeffs
@@ -71,38 +76,63 @@ class IntSeries:
         return hash(self._coeffs)
 
     def __add__(self, other: "IntSeries") -> "IntSeries":
+        if not isinstance(other, IntSeries):
+            return NotImplemented
         a, b = self._coeffs, other._coeffs
         if len(a) > len(b):
             a, b = b, a
-        return IntSeries(_add_row(list(a), b))
+        return _unchecked(_add_row(list(a), b))
 
     def __mul__(self, other: "IntSeries") -> "IntSeries":
         """The product truncated at the smaller degree.
 
         A convolution: each nonzero a_i of the sparser operand adds the other
         operand, times a_i and shifted by i, into the result with one
-        counting._add_row.  Every row it adds comes from the two operands,
-        never from the partial result, so the products stay independent of
-        the in-place _add_parts recurrence they are checked against in
-        gf_vs_dp_bose_s2: the convolution oracle for the knapsack sweep.
+        counting._add_row.  The first such row seeds the result instead of
+        being added into zeros, itertools.compress finds the nonzero a_i
+        and map scales a row, so the zeros of a are skipped in C.  Every row
+        comes from the two operands, never from the partial result, so the
+        products stay independent of the in-place _add_parts recurrence they
+        are checked against in gf_vs_dp_bose_s2: the convolution oracle for
+        the knapsack sweep.
         """
+        if not isinstance(other, IntSeries):
+            return NotImplemented
         d = min(self.degree, other.degree)
-        a, b = self._coeffs, other._coeffs
+        a, b = self._coeffs[: d + 1], other._coeffs[: d + 1]
         # Iterate the sparser operand on the outside; the factors built here
         # (geometric tails, 1 +/- x^k) are mostly zeros and their nonzero
         # coefficients are +/-1, so most rows need no scaling.
-        if a[: d + 1].count(0) < b[: d + 1].count(0):
+        if a.count(0) < b.count(0):
             a, b = b, a
-        out = [0] * (d + 1)
-        for i, ai in enumerate(a[: d + 1]):
-            if ai:
-                _add_row(out, b if ai == 1 else [ai * bj for bj in b[: d + 1 - i]], i)
-        return IntSeries(out)
+        nonzero = compress(range(d + 1), a)
+        i = next(nonzero, None)
+        if i is None:
+            return _unchecked((0,) * (d + 1))
+        out = [0] * i
+        out += _row(a[i], b[: d + 1 - i])
+        for i in nonzero:
+            _add_row(out, _row(a[i], b), i)
+        return _unchecked(out)
 
     def __repr__(self) -> str:
         shown = list(self._coeffs[:8])
         tail = "..." if self.degree > 7 else ""
         return f"IntSeries({shown}{tail}, degree={self.degree})"
+
+
+def _unchecked(coeffs) -> IntSeries:
+    """An IntSeries of coefficients already known to be ints: the
+    constructor without its per-coefficient check, for results built here."""
+    out = object.__new__(IntSeries)
+    out._coeffs = tuple(coeffs)
+    return out
+
+
+def _row(ai: int, b):
+    """The row a_i * b of a product: b itself when a_i == 1, else a lazy map
+    that scales it in C, read only as far as the row add needs."""
+    return b if ai == 1 else map(operator.mul, repeat(ai), b)
 
 
 def _factor_start(k: int, degree: int) -> list[int]:
@@ -116,7 +146,7 @@ def geometric_factor(k: int, degree: int) -> IntSeries:
     coeffs = _factor_start(k, degree)
     for j in range(k, degree + 1, k):
         coeffs[j] = 1
-    return IntSeries(coeffs)
+    return _unchecked(coeffs)
 
 
 def one_plus_power(k: int, degree: int) -> IntSeries:
@@ -124,7 +154,7 @@ def one_plus_power(k: int, degree: int) -> IntSeries:
     coeffs = _factor_start(k, degree)
     if k <= degree:
         coeffs[k] = 1
-    return IntSeries(coeffs)
+    return _unchecked(coeffs)
 
 
 def one_minus_power(k: int, degree: int) -> IntSeries:
@@ -132,7 +162,7 @@ def one_minus_power(k: int, degree: int) -> IntSeries:
     coeffs = _factor_start(k, degree)
     if k <= degree:
         coeffs[k] = -1
-    return IntSeries(coeffs)
+    return _unchecked(coeffs)
 
 
 def _product(factor, s: int, degree: int, top: int | None = None) -> IntSeries:
@@ -174,7 +204,7 @@ def distinct_restricted_gf(n_parts: int, degree: int) -> IntSeries:
             break
         prod = prod * geometric_factor(i, degree)
         _add_row(out, prod.coeffs, tri)
-    return IntSeries(out)
+    return _unchecked(out)
 
 
 @dataclass(frozen=True)
@@ -192,8 +222,15 @@ class IdentityReport:
 
 
 def first_mismatch(lhs, rhs) -> int | None:
-    """Index of the first coefficient where two sequences differ, or None."""
-    return next((n for n, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
+    """Index of the first coefficient where two sequences differ, or None.
+
+    When one sequence is a strict prefix of the other, the first index past
+    the shorter one differs: a truncated side never reads as equal.
+    """
+    n = next((n for n, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
+    if n is None and len(lhs) != len(rhs):
+        return min(len(lhs), len(rhs))
+    return n
 
 
 def verify_identity(lhs: IntSeries, rhs: IntSeries) -> IdentityReport:

@@ -21,6 +21,16 @@ def test_geometric_factor():
     assert pd.geometric_factor(9, 4).coeffs == (1, 0, 0, 0, 0)
 
 
+def test_mul_and_add_refuse_other_operands():
+    s = pd.IntSeries([1, 2, 3])
+    for op in (lambda: s * 2, lambda: 2 * s, lambda: s + 1, lambda: 1 + s,
+               lambda: s * [1, 2], lambda: s + (1, 2)):
+        with pytest.raises(TypeError):
+            op()
+    assert s.__mul__(2) is NotImplemented
+    assert s.__add__(1) is NotImplemented
+
+
 def test_mul_example():
     prod = pd.IntSeries([1, 1, 1]) * pd.IntSeries([1, -1, 0])
     assert prod.coeffs == (1, 0, 0)
@@ -53,6 +63,19 @@ def test_mul_ten_random_series_association_orders():
 @example(a=[1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 2], b=[1, 2, 3, 4, 5, 6, 7])
 # The row is the longer operand and is cut at the shared degree.
 @example(a=[0, 1, 0, -1], b=[3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5])
+# The first nonzero of the sparser operand, past i = 0 and not 1, seeds the result.
+@example(a=[0, 0, -1, 0, 0, 0, 1, 0], b=[1, 2, 3, 4, 5, 6, 7, 8])
+@example(a=[0, 3, 0, 0, 0, -1, 0, 0], b=[2, -1, 4, 7, 1, 8, 2, 8, 1])
+# Its first nonzero sits at the shared degree: the seeded row has length 1.
+@example(a=[0, 0, 0, 0, 0, 7], b=[1, 2, 3, 4, 5, 6])
+@example(a=[0, 0, 0, 1], b=[4, 3, 2, 9, 9])
+# Degree-0 operands.
+@example(a=[5], b=[-3])
+@example(a=[1], b=[0])
+@example(a=[-2], b=[1, 2, 3])
+# An all-zero sparser operand.
+@example(a=[0, 0, 0], b=[1, 2, 3, 4])
+@example(a=[0], b=[0])
 def test_mul_matches_plain_convolution(a, b):
     d = min(len(a), len(b)) - 1
     want = tuple(sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(d + 1))
@@ -141,6 +164,27 @@ def test_products_and_tables_share_no_row_step(monkeypatch):
             assert pd.build_table(pd.SpectrumSpec(2, d), 60).counts == tables[d]
 
 
+def test_product_rows_come_from_the_operands(monkeypatch):
+    """Every row a product adds comes from its operands, never from the
+    partial result it adds into: the convolution stays independent of the
+    in-place sweep it is checked against."""
+    calls = []
+
+    def spy(dst, src, shift=0):
+        assert src is not dst
+        calls.append(shift)
+        return counting._add_row(dst, src, shift)
+
+    tables = {d: pd.build_table(pd.SpectrumSpec(1, d), 60).counts for d in (False, True)}
+    monkeypatch.setattr(series, "_add_row", spy)
+    assert pd.bose_gf(1, 60).coeffs == tables[False]
+    assert pd.fermi_gf(1, 60).coeffs == tables[True]
+    euler = pd.bose_gf(1, 60) * series._product(
+        lambda v, d: pd.one_minus_power(2 * v, d), 1, 60, 30)
+    assert euler.coeffs == tables[True]
+    assert calls
+
+
 def test_gf_coefficients_match_tables():
     for s, distinct in ((1, False), (2, False), (1, True), (2, True)):
         table = pd.build_table(pd.SpectrumSpec(s, distinct), 150).counts
@@ -223,6 +267,31 @@ def test_integer_like_coefficients():
     got = pd.IntSeries([np.int64(3), True, np.uint8(2)]).coeffs
     assert got == (3, 1, 2)
     assert all(type(c) is int for c in got)
+
+
+def test_built_series_hold_plain_ints():
+    """Results wrapped without the constructor's check hold ints and equal
+    (and hash like) the same coefficients passed through the constructor."""
+    a = pd.IntSeries([np.int64(3), True, 0, np.uint8(2), -1])
+    b = pd.IntSeries([1, 0, -4, 0, 2**70])
+    built = [a * b, b * a, a + b, a.shifted(2), a.shifted(9), pd.IntSeries([0, 0]) * a,
+             pd.geometric_factor(2, 6), pd.one_plus_power(3, 6), pd.one_minus_power(3, 6),
+             pd.bose_gf(2, 30), pd.fermi_gf(1, 30), pd.distinct_restricted_gf(4, 30)]
+    for got in built:
+        assert all(type(c) is int for c in got.coeffs)
+        checked = pd.IntSeries(got.coeffs)
+        assert got == checked and hash(got) == hash(checked)
+        assert type(got.coeffs) is tuple
+
+
+def test_first_mismatch():
+    assert series.first_mismatch([1, 2, 3], [1, 2, 3]) is None
+    assert series.first_mismatch([1, 2, 3], [1, 5, 3]) == 1
+    # A strict prefix differs at the first index past it, on either side.
+    assert series.first_mismatch([1, 2], [1, 2, 3]) == 2
+    assert series.first_mismatch((1, 2, 3), [1]) == 1
+    assert series.first_mismatch([], [0]) == 0
+    assert series.first_mismatch([], ()) is None
 
 
 def test_verify_identity_mismatch():
