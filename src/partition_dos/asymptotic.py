@@ -155,9 +155,14 @@ def rho_unrestricted(model: AsymptoticModel, E: float) -> float:
 def bose_density_s1(E: float) -> float:
     """exp(pi sqrt(2E/3)) / (4 sqrt(3) E): the classical smooth p(n) curve.
 
-    The classical printed form, kept as the tests' oracle for
-    rho_unrestricted(make_model(1, BOSE), E); rho_restricted_bose and
-    rho_restricted_fermi build on it.
+    The classical printed form, with two roles.  It is the tests' oracle
+    for rho_unrestricted(make_model(1, BOSE), E), the curve figure 1
+    draws.  It is also figure 5's smooth curve: cli.cmd_figure subtracts
+    the exact count from it for the diff_unrestricted column, and
+    rho_restricted_bose builds on it.  It stays a separate form because
+    rho_unrestricted takes about twice as long per point (0.53 against
+    0.28 us at E = 300, one core), and the benchmark's audit workload
+    evaluates some 44k figure points per pass.
     """
     return _bose_s1(positive("E", E))
 
@@ -186,9 +191,14 @@ def bose_density_s2(E: float) -> float:
 def fermi_density_s1(E: float) -> float:
     """exp(pi sqrt(E/3)) / (4 * 3**(1/4) * E**(3/4)): smooth distinct count.
 
-    The classical printed form, kept as the tests' oracle for
-    rho_unrestricted(make_model(1, FERMI), E); rho_restricted_fermi starts
-    from it.
+    The classical printed form, with two roles.  It is the tests' oracle
+    for rho_unrestricted(make_model(1, FERMI), E), the curve figure 3
+    draws.  It is also figure 6's smooth curve: cli.cmd_figure subtracts
+    the exact count from it for the diff_unrestricted column, and
+    rho_restricted_fermi starts from it.  It stays a separate form because
+    tests/test_asymptotic.py and acceptance criterion 8 pin
+    rho_restricted_fermi to exactly this value below (N+1)(N+2)/2, and
+    because rho_unrestricted takes about twice as long per point.
     """
     positive("E", E)
     return math.exp(math.pi * math.sqrt(E / 3.0)) / (4.0 * 3.0**0.25 * E**0.75)

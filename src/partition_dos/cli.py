@@ -63,8 +63,13 @@ def write_dataset(meta: dict, columns: list[str], rows: list[tuple], args) -> No
     if args.output == "-":
         sys.stdout.write(text_rows)
     else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text_rows)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text_rows)
+        except OSError as exc:
+            raise DomainError(
+                f"--output={args.output!r} cannot be written: {exc.strerror}"
+            ) from exc
 
 
 def _meta(command: str, **fields) -> dict:

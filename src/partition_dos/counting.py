@@ -16,7 +16,9 @@ for d(n).  Only SpectrumSpec.part_values lists the part values.  Every
 knapsack and recurrence table is built from two row steps: the sweep
 _add_parts, row[j] += row[j - v], and the shifted add _add_row,
 dst[j] += src[j - shift].  Beside them, the only table arithmetic is the
-pentagonal recurrence and the packed product _packed_distinct.
+pentagonal recurrence and the packed product _packed_distinct, whose lane
+width _lane_bits proves with a saddle beta taken from Gamma(1 + 1/s) alone,
+so this module needs nothing from the float asymptotics.
 """
 
 from __future__ import annotations
@@ -136,17 +138,17 @@ def _lane_bits(s: int, values: list[int], n_max: int) -> int:
     constant term 1, so for any beta > 0 each such coefficient c_j obeys
     c_j e**(-beta j) <= prod (1 + e**(-beta v)), and hence
     c_j <= e**(beta n_max) * prod over v of (1 + e**(-beta v)).  beta is
-    the closed-form fermi saddle of energy n_max,
-    (D / (s n_max))**(s / (1 + s)) with D = Gamma(1 + 1/s) eta(1 + 1/s),
-    near which the bound is least.  The log of the bound is summed once
-    with math.fsum, and 2 bits cover its rounding.  s is clamped before any
-    float is formed; the clamp only moves beta, and any beta bounds the
-    counts.
+    (Gamma(1 + 1/s) / (s n_max))**(s / (1 + s)): the closed-form fermi
+    saddle of energy n_max, near which the bound is least, with the factor
+    eta(1 + 1/s) of D(s) replaced by its upper bound 1.  That costs a bit
+    or two of width and keeps the float asymptotics out of this module.
+    The log of the bound is summed once with math.fsum, and 2 bits cover
+    its rounding.
+    s is clamped before any float is formed, since 1.0 / s overflows for a
+    huge int; the clamp only moves beta, and any beta bounds the counts.
     """
-    from .asymptotic import FERMI, make_model  # asymptotic imports counting
-
     s = min(s, 64)
-    beta = make_model(s, FERMI).lam / max(n_max, 1) ** (s / (1 + s))
+    beta = (math.gamma(1.0 + 1.0 / s) / (s * max(n_max, 1))) ** (s / (1 + s))
     log_bound = math.fsum(
         [beta * n_max] + [math.log1p(math.exp(-beta * v)) for v in values]
     )

@@ -14,11 +14,9 @@ One builder, _product, forms every product over the part values m**s that
 counting.SpectrumSpec lists, and identities() builds each product once.
 The series arithmetic uses the exact tables' shifted-row add,
 counting._add_row: a product is one row add per nonzero coefficient of its
-sparser operand, and a sum is one row add.  A product starts from its first
-row, the other operand shifted and scaled, rather than adding it into zeros;
-it finds the nonzero coefficients with itertools.compress and scales rows
-with map, so its zeros are skipped in C.  Results built here from ints are
-wrapped by _unchecked, without the constructor's per-coefficient check.
+sparser operand, and a sum is one row add.  A product never reads its
+partial result, only its two operands, so it stays a convolution and an
+independent oracle for the in-place _add_parts sweep.
 """
 
 from __future__ import annotations

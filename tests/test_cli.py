@@ -114,6 +114,14 @@ def test_output_to_file(tmp_path, capsys):
     assert target.read_text().splitlines()[-1] == "4,5"
 
 
+@pytest.mark.parametrize("where, reason", [("missing/x.csv", "No such file or directory"),
+                                           (".", "Is a directory")])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, where, reason):
+    target = str(tmp_path / where)
+    assert cli.main(["exact", "--max", "5", "--output", target]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: --output={target!r} cannot be written: {reason}\n")
+
+
 def test_asym_matches_library(capsys):
     _, out = run(capsys, ["asym", "--s", "1", "--statistics", "bose",
                           "--energies", "10"])

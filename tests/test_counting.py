@@ -1,4 +1,8 @@
+import ast
+import math
 import tracemalloc
+from graphlib import TopologicalSorter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +10,7 @@ from hypothesis import strategies as st
 
 import partition_dos as pd
 from partition_dos import counting
+from partition_dos.asymptotic import FERMI, make_model
 from partition_dos.errors import DomainError, ResourceLimitError
 
 
@@ -277,6 +282,52 @@ def test_packed_distinct_lanes_of_several_words(n, words):
 @given(s=st.integers(1, 12), n=st.integers(0, 2000))
 def test_packed_distinct_matches_downward_sweep_property(s, n):
     _assert_packed_matches_sweep(s, n)
+
+
+def _saddle_lane_bits(s, values, n):
+    """The lane bound of counting._lane_bits taken at the full closed-form
+    fermi saddle, whose D(s) keeps the factor eta(1 + 1/s) < 1."""
+    beta = make_model(s, FERMI).lam / max(n, 1) ** (s / (1 + s))
+    log_bound = math.fsum([beta * n] + [math.log1p(math.exp(-beta * v)) for v in values])
+    return math.ceil(log_bound / math.log(2)) + 2
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_lane_bits_keep_the_fermi_saddle_words(s):
+    # Dropping eta costs at most a bit, never a 64-bit word, on these sizes.
+    for n in [*range(0, 20_001, 97), 4949, 15150]:
+        values = pd.SpectrumSpec(s).part_values(n)
+        bits = counting._lane_bits(s, values, n)
+        reference = _saddle_lane_bits(s, values, n)
+        assert bits >= reference, n
+        assert -(-bits // 64) == -(-reference // 64), n
+
+
+def _package_imports():
+    """Each module of the package -> the package modules it imports, at
+    module level or inside a function.  A name taken from the package
+    itself that is no module, such as cli's __version__, counts as
+    __init__."""
+    package = Path(counting.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for name in modules:
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        graph[name] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    graph[name].add(node.module.split(".")[0])
+                else:
+                    graph[name].update(a.name if a.name in modules else "__init__"
+                                       for a in node.names)
+    return graph
+
+
+def test_package_imports_have_no_cycle():
+    graph = _package_imports()
+    assert graph["counting"] == {"errors", "limits"}
+    TopologicalSorter(graph).prepare()  # raises CycleError, naming the cycle
 
 
 @pytest.mark.parametrize("distinct", [False, True])

@@ -3,9 +3,9 @@
 Each public entry point rejects every argument outside its domain with a
 DomainError whose message starts "name=": an energy or inverse temperature
 must be a finite number > 0 (zeta's x one > 1), a part cap, window or index
-an int at or above its lower bound (a window, n_min or series index also at
-most the length it indexes), the statistics 'bose' or 'fermi', and a table
-size a nonnegative int.  A rule that ties one argument to another (the
+an int, not a bool, at or above its lower bound (a window, n_min or series
+index also at most the length it indexes), the statistics 'bose' or
+'fermi', and a table size a nonnegative int.  A rule that ties one argument to another (the
 -1/24 shift, a saddle part cap) or to a floor (beat_spectrum's 64 samples)
 names that argument too.  A table size over PARTITION_DOS_MAX_N, inf
 included, raises ResourceLimitError instead.
@@ -20,10 +20,11 @@ from partition_dos.errors import DomainError, ResourceLimitError
 
 NAN, INF = math.nan, math.inf
 REAL = (NAN, INF, -INF, 0.0, -1.0)  # must be a finite number > 0
-PART = (NAN, INF, 0, -1, 2.5)  # must be an int >= 1 (>= 3 for a window)
+BOOL = (True, False)  # an int to Python, but never a count
+PART = (NAN, INF, 0, -1, 2.5) + BOOL  # must be an int >= 1 (>= 3 for a window)
 WITHIN_10 = PART + (11,)  # as PART, and at most 10: a length-10 sequence or table
-INDEX = (NAN, INF, -1, 2.5)  # must be an int >= 0
-SIZE = (NAN, -1, 2.5)  # a table size: int >= 0; inf is over the cap
+INDEX = (NAN, INF, -1, 2.5) + BOOL  # must be an int >= 0
+SIZE = (NAN, -1, 2.5) + BOOL  # a table size: int >= 0; inf is over the cap
 STATS = ("boson", "BOSE", "", None)  # must be pd.BOSE or pd.FERMI
 ABOVE_1 = (NAN, 1.0, 0.5, -1.0)  # must be a finite number > 1
 
@@ -36,6 +37,10 @@ DEGREE_10 = pd.IntSeries(range(11))
 
 # (entry point and argument, argument name, bad values, call with the value)
 CASES = [
+    ("SpectrumSpec.s", "s", PART, lambda v: pd.SpectrumSpec(v, 2)),
+    ("SpectrumSpec.max_parts", "max_parts", PART, lambda v: pd.SpectrumSpec(1, False, v)),
+    ("build_table", "n_max", SIZE, lambda v: pd.build_table(pd.SpectrumSpec(1), v)),
+    ("count", "n", INDEX, lambda v: pd.count(pd.SpectrumSpec(1), v)),
     ("make_model", "statistics", STATS, lambda v: pd.make_model(1, v)),
     ("make_model.shift[s=2]", "rademacher_shift", (True,), lambda v: pd.make_model(2, pd.BOSE, v)),
     ("make_model.shift[fermi]", "rademacher_shift", (True,),
