@@ -17,7 +17,6 @@ from .asymptotic import (
     FERMI,
     AsymptoticModel,
     bose_density_s1,
-    bose_density_s2,
     erdos_lehner_factor,
     eta,
     fermi_density_s1,
@@ -36,7 +35,6 @@ from .counting import (
     count,
     distinct_restricted_table,
     enumerate_partitions,
-    iter_partitions,
     odd_parts_table,
 )
 from .errors import (
@@ -51,11 +49,9 @@ from .series import (
     bose_gf,
     distinct_restricted_gf,
     fermi_gf,
-    first_mismatch,
     geometric_factor,
     identities,
     one_minus_power,
-    one_plus_power,
     verify_identity,
 )
 

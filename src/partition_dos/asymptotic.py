@@ -175,7 +175,8 @@ def bose_density_s2(E: float) -> float:
     """sqrt(2/3) kappa_2 / (2 pi)**1.5 * exp(3 kappa_2 E**(1/3)) / E**(7/6).
 
     The classical printed form, kept as the tests' oracle for
-    rho_unrestricted(make_model(2, BOSE), E).
+    rho_unrestricted(make_model(2, BOSE), E).  The package does not export
+    it; the tests, and perfbench's layer tracer, read it from this module.
     """
     positive("E", E)
     kappa2 = (math.gamma(1.5) * zeta(1.5) / 2.0) ** (2.0 / 3.0)

@@ -4,8 +4,8 @@ The public functions check their numeric arguments through these
 helpers, so one kind of argument gets one rule and one message,
 "name=value ...":
 
-* an energy, inverse temperature or level energy is a finite number > 0
-  (:func:`positive`);
+* an energy, exponent, inverse temperature or level energy is a finite
+  number > 0, not a bool (:func:`positive`);
 * a part cap, count or index is a Python int, not a bool, at or above its
   lower bound, and at most its upper bound where it has one
   (:func:`integer`);
@@ -50,8 +50,11 @@ def integer(name: str, value, low: int, high: int | None = None) -> int:
 
 
 def positive(name: str, value) -> float:
-    """value if it is a finite number > 0, else DomainError (nan and inf too)."""
-    if not 0 < value < math.inf:
+    """value if it is a finite number > 0, else DomainError (nan and inf too).
+
+    True compares as 1, but an energy or exponent is never a bool, so True
+    and False are rejected too."""
+    if isinstance(value, bool) or not 0 < value < math.inf:
         raise DomainError(f"{name}={value!r} is not a finite number > 0")
     return value
 

@@ -14,8 +14,8 @@ the corresponding oscillatory entropy double sum.  That sum is a measured
 negative result: it does not produce the distinct-square beats.  At the
 E = 1000 fermi s = 2 saddle, beta0 = 0.00486, its oscillating part is 0.0,
 and at beta = 0.05 it is -3.6e-5, while d^2(n) swings 4.1% rms about the
-smooth curve on n = 2000..4000.  The ROADMAP item on complex saddles at
-roots of unity carries the candidate explanation.
+smooth curve on n = 2000..4000.  ROADMAP item 2, a quadrature of the
+generating function over Farey arcs, carries the candidate explanation.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import pytest
 from scipy import special
 
 import partition_dos as pd
+from partition_dos import asymptotic
 from partition_dos.asymptotic import C1
 from partition_dos.errors import DomainError
 
@@ -124,7 +125,7 @@ def test_general_formula_specializes(E):
         pd.bose_density_s1(E), rel=1e-12
     )
     assert pd.rho_unrestricted(pd.make_model(2, pd.BOSE), E) == pytest.approx(
-        pd.bose_density_s2(E), rel=1e-12
+        asymptotic.bose_density_s2(E), rel=1e-12
     )
     assert pd.rho_unrestricted(pd.make_model(1, pd.FERMI), E) == pytest.approx(
         pd.fermi_density_s1(E), rel=1e-12

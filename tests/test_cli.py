@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import jsonschema
@@ -717,8 +718,21 @@ def test_cold_start_loads_numpy_only_for_numeric_commands(argv, loads_numpy):
     assert done.stdout.splitlines()[-1] == str(loads_numpy)
 
 
-# The names the package exports from its numpy modules, loaded on first use.
-LAZY_EXPORTS = {
+# Every name the package exports, by the module it lives in.  The numpy
+# modules, saddle and fluctuation, load with their names on first use.
+EXPORTS = {
+    "asymptotic": ("BOSE", "FERMI", "AsymptoticModel", "bose_density_s1",
+                   "erdos_lehner_factor", "eta", "fermi_density_s1", "make_model",
+                   "rho_restricted_bose", "rho_restricted_fermi", "rho_unrestricted",
+                   "validity_region", "zeta"),
+    "counting": ("PartitionTable", "SpectrumSpec", "build_table",
+                 "conjugate_restricted_table", "count", "distinct_restricted_table",
+                 "enumerate_partitions", "odd_parts_table"),
+    "errors": ("ConvergenceError", "DomainError", "PrecisionLossError",
+               "ResourceLimitError"),
+    "series": ("IdentityReport", "IntSeries", "bose_gf", "distinct_restricted_gf",
+               "fermi_gf", "geometric_factor", "identities", "one_minus_power",
+               "verify_identity"),
     "saddle": ("DosSplit", "PoissonEntropy", "SaddleResult", "ThermoSpec", "entropy",
                "entropy_poisson_s2", "find_saddle", "log_z", "single_particle_dos_s2"),
     "fluctuation": ("FluctuationReport", "amplitude_ratio", "analyze", "beat_spectrum",
@@ -726,16 +740,25 @@ LAZY_EXPORTS = {
 }
 
 
-@pytest.mark.parametrize("module_name", LAZY_EXPORTS)
+@pytest.mark.parametrize("module_name", ["saddle", "fluctuation"])
 def test_lazy_exports_are_the_home_module_objects(module_name):
     home = importlib.import_module(f"partition_dos.{module_name}")
     assert getattr(pd, module_name) is home
     listed = dir(pd)
     assert module_name in listed
-    for name in LAZY_EXPORTS[module_name]:
-        assert getattr(pd, name) is getattr(home, name), name
-        assert name in listed, name
     assert set(vars(pd)) <= set(listed)
+
+
+def test_exports_are_exactly_the_pinned_names():
+    """A name leaves or joins the package only by an edit to EXPORTS, and
+    each is its home module's object, the lazy ones included."""
+    public = {name for name in dir(pd) if not name.startswith("_")
+              and not isinstance(getattr(pd, name), types.ModuleType)}
+    assert public == {name for names in EXPORTS.values() for name in names}
+    for module_name, names in EXPORTS.items():
+        home = importlib.import_module(f"partition_dos.{module_name}")
+        for name in names:
+            assert getattr(pd, name) is getattr(home, name), name
 
 
 def test_unknown_package_name_is_attribute_error():

@@ -1,14 +1,14 @@
 """The input-domain policy of partition_dos.limits, entry point by entry point.
 
 Each public entry point rejects every argument outside its domain with a
-DomainError whose message starts "name=": an energy or inverse temperature
-must be a finite number > 0 (zeta's x one > 1), a part cap, window or index
-an int, not a bool, at or above its lower bound (a window, n_min or series
-index also at most the length it indexes), the statistics 'bose' or
-'fermi', and a table size a nonnegative int.  A rule that ties one argument to another (the
--1/24 shift, a saddle part cap) or to a floor (beat_spectrum's 64 samples)
-names that argument too.  A table size over PARTITION_DOS_MAX_N, inf
-included, raises ResourceLimitError instead.
+DomainError whose message starts "name=": an energy, exponent or inverse
+temperature must be a finite number > 0, not a bool (zeta's x one > 1), a
+part cap, window or index an int, not a bool, at or above its lower bound (a
+window, n_min or series index also at most the length it indexes), the
+statistics 'bose' or 'fermi', and a table size a nonnegative int.  A rule
+that ties one argument to another (the -1/24 shift, a saddle part cap) or to
+a floor (beat_spectrum's 64 samples) names that argument too.  A table size
+over PARTITION_DOS_MAX_N, inf included, raises ResourceLimitError instead.
 """
 
 import math
@@ -16,11 +16,12 @@ import math
 import pytest
 
 import partition_dos as pd
+from partition_dos import asymptotic
 from partition_dos.errors import DomainError, ResourceLimitError
 
 NAN, INF = math.nan, math.inf
-REAL = (NAN, INF, -INF, 0.0, -1.0)  # must be a finite number > 0
-BOOL = (True, False)  # an int to Python, but never a count
+BOOL = (True, False)  # an int to Python, but never a count or an energy
+REAL = (NAN, INF, -INF, 0.0, -1.0) + BOOL  # must be a finite number > 0
 PART = (NAN, INF, 0, -1, 2.5) + BOOL  # must be an int >= 1 (>= 3 for a window)
 WITHIN_10 = PART + (11,)  # as PART, and at most 10: a length-10 sequence or table
 INDEX = (NAN, INF, -1, 2.5) + BOOL  # must be an int >= 0
@@ -41,10 +42,12 @@ CASES = [
     ("SpectrumSpec.max_parts", "max_parts", PART, lambda v: pd.SpectrumSpec(1, False, v)),
     ("build_table", "n_max", SIZE, lambda v: pd.build_table(pd.SpectrumSpec(1), v)),
     ("count", "n", INDEX, lambda v: pd.count(pd.SpectrumSpec(1), v)),
+    ("make_model.s", "s", REAL, lambda v: pd.make_model(v, pd.FERMI)),
     ("make_model", "statistics", STATS, lambda v: pd.make_model(1, v)),
     ("make_model.shift[s=2]", "rademacher_shift", (True,), lambda v: pd.make_model(2, pd.BOSE, v)),
     ("make_model.shift[fermi]", "rademacher_shift", (True,),
      lambda v: pd.make_model(1, pd.FERMI, v)),
+    ("ThermoSpec.s", "s", REAL, lambda v: pd.ThermoSpec(v, pd.BOSE)),
     ("ThermoSpec", "statistics", STATS, lambda v: pd.ThermoSpec(1, v)),
     ("ThermoSpec.max_parts[s=2]", "max_parts", (5,), lambda v: pd.ThermoSpec(2, pd.BOSE, v)),
     ("ThermoSpec.max_parts[fermi]", "max_parts", (5,), lambda v: pd.ThermoSpec(1, pd.FERMI, v)),
@@ -53,7 +56,7 @@ CASES = [
     ("rho_unrestricted[fermi]", "E", REAL, lambda v: pd.rho_unrestricted(FERMI2, v)),
     ("zeta", "x", ABOVE_1, pd.zeta),
     ("bose_density_s1", "E", REAL, pd.bose_density_s1),
-    ("bose_density_s2", "E", REAL, pd.bose_density_s2),
+    ("bose_density_s2", "E", REAL, asymptotic.bose_density_s2),
     ("fermi_density_s1", "E", REAL, pd.fermi_density_s1),
     ("erdos_lehner_factor.E", "E", REAL, lambda v: pd.erdos_lehner_factor(v, 5)),
     ("erdos_lehner_factor.N", "n_parts", PART, lambda v: pd.erdos_lehner_factor(100.0, v)),

@@ -275,7 +275,7 @@ def test_built_series_hold_plain_ints():
     a = pd.IntSeries([np.int64(3), True, 0, np.uint8(2), -1])
     b = pd.IntSeries([1, 0, -4, 0, 2**70])
     built = [a * b, b * a, a + b, a.shifted(2), a.shifted(9), pd.IntSeries([0, 0]) * a,
-             pd.geometric_factor(2, 6), pd.one_plus_power(3, 6), pd.one_minus_power(3, 6),
+             pd.geometric_factor(2, 6), series.one_plus_power(3, 6), pd.one_minus_power(3, 6),
              pd.bose_gf(2, 30), pd.fermi_gf(1, 30), pd.distinct_restricted_gf(4, 30)]
     for got in built:
         assert all(type(c) is int for c in got.coeffs)
