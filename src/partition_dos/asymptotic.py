@@ -9,7 +9,8 @@ from two special-function combinations:
 
 together with kappa_s = (C/s)**(s/(1+s)) and lambda_s = (D/s)**(s/(1+s)).
 This module provides the real-line special functions, the general smooth
-densities for both statistics, the classical s = 1 and s = 2 printed forms,
+densities for both statistics (at one energy, or over a grid of energies
+in one pass), the classical s = 1 and s = 2 printed forms,
 the exponentially small at-most-N-parts correction (Erdos-Lehner), and its
 distinct-partition analogue built from a staircase-shifted subtraction
 series.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import counting
 from .errors import DomainError
@@ -125,31 +127,50 @@ def rho_unrestricted(model: AsymptoticModel, E: float) -> float:
 
         sqrt(s lambda_s) * exp((1+s) lambda_s E**(1/(1+s)))
             / (2 sqrt(pi (1+s) E**((2s+1)/(s+1))))
+
+    The one-point call of :func:`rho_unrestricted_grid`.
     """
-    positive("E", E)
+    return next(rho_unrestricted_grid(model, (E,)))
+
+
+def rho_unrestricted_grid(model: AsymptoticModel, energies) -> Iterator[float]:
+    """Yield rho_unrestricted(model, E) for each E of `energies`, in turn.
+
+    The constants of the formula are taken once per grid, and each point
+    runs the same float operations in the same order as a lone call, so the
+    values are the same bits.  Each E is checked just before its value is
+    computed, so the first bad E raises where a loop of rho_unrestricted
+    calls would: DomainError for an E that is not a finite number > 0 (or
+    not above 1/24 with the shift), or OverflowError from a density past
+    the float range.
+    """
     s = model.s
+    exp, inf = math.exp, math.inf
     if model.statistics == BOSE:
-        if model.rademacher_shift:
-            if E <= 1.0 / 24.0:
-                raise DomainError(f"E={E!r} does not exceed 1/24, as the shift needs")
-            E = E - 1.0 / 24.0
         k = model.kappa
         # (2 pi)**((s+1)/2) divides inside the exp: alone it overflows a
         # float from s ~ 770 on, where the density is still finite.
-        return (
-            k
-            * math.sqrt(s / (s + 1.0))
-            * E ** (-(3.0 * s + 1.0) / (2.0 * (s + 1.0)))
-            * math.exp(k * (s + 1.0) * E ** (1.0 / (1.0 + s)) - (s + 1.0) * _LOG_SQRT_2PI)
-        )
-    lam = model.lam
-    # E's power is taken negative, so a tiny E cannot underflow a divisor.
-    return (
-        math.sqrt(s * lam / (math.pi * (1.0 + s)))
-        / 2.0
-        * E ** (-(2.0 * s + 1.0) / (2.0 * (s + 1.0)))
-        * math.exp((1.0 + s) * lam * E ** (1.0 / (1.0 + s)))
-    )
+        scale = k * math.sqrt(s / (s + 1.0))
+        power = -(3.0 * s + 1.0) / (2.0 * (s + 1.0))
+        rate = k * (s + 1.0)
+        log_norm = (s + 1.0) * _LOG_SQRT_2PI
+    else:
+        lam = model.lam
+        # E's power is taken negative, so a tiny E cannot underflow a divisor.
+        scale = math.sqrt(s * lam / (math.pi * (1.0 + s))) / 2.0
+        power = -(2.0 * s + 1.0) / (2.0 * (s + 1.0))
+        rate = (1.0 + s) * lam
+        log_norm = 0.0
+    root = 1.0 / (1.0 + s)
+    shift = model.rademacher_shift
+    for E in energies:
+        if E.__class__ is not float or not 0.0 < E < inf:
+            positive("E", E)
+        if shift:
+            if E <= 1.0 / 24.0:
+                raise DomainError(f"E={E!r} does not exceed 1/24, as the shift needs")
+            E = E - 1.0 / 24.0
+        yield scale * E**power * exp(rate * E**root - log_norm)
 
 
 def bose_density_s1(E: float) -> float:
@@ -160,9 +181,11 @@ def bose_density_s1(E: float) -> float:
     draws.  It is also figure 5's smooth curve: cli.cmd_figure subtracts
     the exact count from it for the diff_unrestricted column, and
     rho_restricted_bose builds on it.  It stays a separate form because
-    rho_unrestricted takes about twice as long per point (0.53 against
-    0.28 us at E = 300, one core), and the benchmark's audit workload
-    evaluates some 44k figure points per pass.
+    its values differ from rho_unrestricted's in the last bits at almost
+    every n, and figure 5 prints them, and because rho_restricted_bose
+    calls it one point at a time, where a lone rho_unrestricted call is the
+    slower: 0.9 against 0.37 us at E = 300 (Python 3.11, one core of a
+    2-core x86_64 host).
     """
     return _bose_s1(positive("E", E))
 
@@ -199,7 +222,8 @@ def fermi_density_s1(E: float) -> float:
     rho_restricted_fermi starts from it.  It stays a separate form because
     tests/test_asymptotic.py and acceptance criterion 8 pin
     rho_restricted_fermi to exactly this value below (N+1)(N+2)/2, and
-    because rho_unrestricted takes about twice as long per point.
+    because a lone rho_unrestricted call is the slower, as for
+    bose_density_s1.
     """
     positive("E", E)
     return math.exp(math.pi * math.sqrt(E / 3.0)) / (4.0 * 3.0**0.25 * E**0.75)

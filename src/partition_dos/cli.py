@@ -48,10 +48,17 @@ def _json_cell(value):
 
 
 def write_dataset(meta: dict, columns: list[str], rows: list[tuple], args) -> None:
+    """Write the dataset to --output as CSV or JSON.
+
+    A CSV row is one `%` format of str cells, done in C; a row holding None
+    (an empty cell) is joined cell by cell instead.
+    """
     if args.format == "csv":
         lines = ["# " + " ".join(f"{k}={v}" for k, v in meta.items())]
         lines.append(",".join(columns))
-        lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+        fmt = ",".join(["%s"] * len(columns))
+        lines.extend(",".join(map(_csv_cell, row)) if None in row else fmt % row
+                     for row in rows)
         text_rows = "\n".join(lines) + "\n"
     else:
         payload = {
@@ -130,7 +137,7 @@ def cmd_exact(args) -> int:
     spec = counting.SpectrumSpec(args.s, args.distinct, args.parts)
     integer("--min", args.min, 0, integer("--max", args.max, 0))
     table = counting.build_table(spec, args.max)
-    rows = [(n, table.counts[n]) for n in range(args.min, args.max + 1)]
+    rows = list(zip(range(args.min, args.max + 1), table.counts[args.min :]))
     meta = _meta(
         "exact",
         s=args.s,
@@ -162,7 +169,7 @@ def cmd_asym(args) -> int:
             columns = ["E", "density"]
     else:
         model = asymptotic.make_model(args.s, stats, args.shift)
-        rows = [(e, asymptotic.rho_unrestricted(model, e)) for e in grid]
+        rows = list(zip(grid, asymptotic.rho_unrestricted_grid(model, grid)))
         columns = ["E", "density"]
     meta = _meta(
         "asym",
@@ -204,10 +211,12 @@ def _table_and_model(s: int, distinct: bool, n_max: int, shift: bool = False):
 
 
 def _exact_rows(table, model, n_min: int, n_max: int):
-    """Yield (n, exact, asymptote) for n = n_min .. n_max: the rows where
-    the exact counts meet the smooth curve, in compare and figures 1-4."""
-    for n in range(n_min, n_max + 1):
-        yield n, table.counts[n], asymptotic.rho_unrestricted(model, float(n))
+    """(n, exact, asymptote) for n = n_min .. n_max, one row at a time: the
+    rows where the exact counts meet the smooth curve, in compare and
+    figures 1-4."""
+    grid = range(n_min, n_max + 1)
+    smooth = asymptotic.rho_unrestricted_grid(model, map(float, grid))
+    return zip(grid, table.counts[n_min : n_max + 1], smooth)
 
 
 def cmd_compare(args) -> int:

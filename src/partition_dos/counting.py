@@ -18,7 +18,10 @@ _add_parts, row[j] += row[j - v], and the shifted add _add_row,
 dst[j] += src[j - shift].  Beside them, the only table arithmetic is the
 pentagonal recurrence and the packed product _packed_distinct, whose lane
 width _lane_bits proves with a saddle beta taken from Gamma(1 + 1/s) alone,
-so this module needs nothing from the float asymptotics.
+so this module needs nothing from the float asymptotics.  None of these
+runs Python bytecode per table element: the row steps are slices of
+itertools.accumulate and map(add), and the pentagonal sums take their
+terms with operator.itemgetter, all in C.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable
 
 from .errors import ResourceLimitError
@@ -115,10 +118,23 @@ def build_table(spec: SpectrumSpec, n_max: int) -> PartitionTable:
 def _add_parts(row: list[int], values) -> list[int]:
     """Admit each part value v in `values` into `row`, in turn and in place;
     return `row`.  row[j] += row[j - v] for every j >= v, sweeping j upward,
-    so the entries read already include v and v may repeat: the one sweep."""
+    so the entries read already include v and v may repeat: the one sweep.
+
+    The sweep runs in C, in one of two equal forms.  Along each residue class
+    r, r + v, r + 2v, ... of j mod v it is a running sum, one accumulate per
+    class; that takes v slices of len(row) / v, so it is used while
+    v * v < len(row).  Past that, it is one map(add) per block of v entries,
+    each block adding the block before it, which the previous step has
+    already finished: len(row) / v slices, each at most v long.
+    """
+    size = len(row)
     for v in values:
-        for j in range(v, len(row)):
-            row[j] += row[j - v]
+        if v * v < size:
+            for r in range(v):
+                row[r::v] = accumulate(row[r::v])
+        else:
+            for j in range(v, size, v):
+                row[j : j + v] = map(add, row[j : j + v], row[j - v : j])
     return row
 
 
@@ -238,9 +254,13 @@ def _pentagonal_offsets(limit: int) -> tuple[list[int], list[int]]:
     return odd, even
 
 
-def _lagged_sum(row: list[int], n: int, offsets: list[int]) -> int:
-    """Sum of row[n - g] over the increasing offsets g <= n."""
-    return sum([row[n - g] for g in offsets[: bisect_right(offsets, n)]])
+def _lags(offsets: list[int]):
+    """A getter of row[-g] for each g in `offsets`.  itemgetter takes them
+    in C, but with fewer than two indices it returns no tuple, so the first
+    few n, before a sign has two offsets, take a list."""
+    if len(offsets) > 1:
+        return itemgetter(*[-g for g in offsets])
+    return lambda row: [row[-g] for g in offsets]
 
 
 def _pentagonal(n_max: int, distinct: bool = False) -> list[int]:
@@ -251,6 +271,11 @@ def _pentagonal(n_max: int, distinct: bool = False) -> list[int]:
     p(n) = sum over k != 0 of (-1)^(k+1) p(n - k(3k-1)/2).  Since
     prod (1 + x^m) * prod (1 - x^m) = prod (1 - x^(2m)), d(n) obeys the same
     recurrence plus a source term: (-1)^j when n = j(3j-1) for some j in Z.
+
+    The sums run in C.  While `row` ends at p(n - 1), p(n - g) is row[-g],
+    so the terms of each sign are one itemgetter of fixed negative indices.
+    The offsets g <= n change only where n reaches a pentagonal number, and
+    only there are the two getters rebuilt.
     """
     odd, even = _pentagonal_offsets(n_max)
     source: dict[int, int] = {}
@@ -258,10 +283,12 @@ def _pentagonal(n_max: int, distinct: bool = False) -> list[int]:
         half_odd, half_even = _pentagonal_offsets(n_max // 2)
         source = {2 * g: -1 for g in half_odd} | {2 * g: 1 for g in half_even}
     row = [1]
-    for n in range(1, n_max + 1):
-        row.append(
-            _lagged_sum(row, n, odd) - _lagged_sum(row, n, even) + source.get(n, 0)
-        )
+    edges = sorted(odd + even) + [n_max + 1]
+    for lo, hi in zip(edges, edges[1:]):
+        plus = _lags(odd[: bisect_right(odd, lo)])
+        minus = _lags(even[: bisect_right(even, lo)])
+        for n in range(lo, hi):
+            row.append(sum(plus(row)) - sum(minus(row)) + source.get(n, 0))
     return row
 
 

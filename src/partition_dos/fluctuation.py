@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .asymptotic import FERMI, BOSE, AsymptoticModel, rho_unrestricted
+from .asymptotic import FERMI, BOSE, AsymptoticModel, rho_unrestricted_grid
 from .counting import PartitionTable
 from .errors import DomainError, PrecisionLossError
 from .limits import integer
@@ -37,8 +37,8 @@ def _check_match(table: PartitionTable, model: AsymptoticModel) -> None:
 
 
 def smooth_curve(model: AsymptoticModel, n_values) -> np.ndarray:
-    """Smooth density evaluated at each (integer) n."""
-    return np.array([rho_unrestricted(model, float(n)) for n in n_values])
+    """Smooth density evaluated at each (integer) n, in one grid pass."""
+    return np.array(list(rho_unrestricted_grid(model, map(float, n_values))))
 
 
 def _residual_pass(table: PartitionTable, model: AsymptoticModel,
@@ -111,13 +111,18 @@ def beat_spectrum(residual, smooth=None) -> list[tuple[float, float]]:
     power = np.abs(np.fft.rfft(x * np.hanning(x.size))) ** 2
     freqs = np.fft.rfftfreq(x.size, d=1.0)
     floor = max(5.0 * float(np.median(power[1:])), 1e-12 * float(power.max()))
-    peaks = [
-        (float(freqs[i]), float(power[i]))
-        for i in range(1, power.size - 1)
-        if power[i] > power[i - 1] and power[i] >= power[i + 1] and power[i] >= floor
-    ]
+    at = _local_peaks(power, floor)
+    peaks = list(zip(freqs[at].tolist(), power[at].tolist()))
     peaks.sort(key=lambda fp: (-fp[1], fp[0]))
     return peaks
+
+
+def _local_peaks(power: np.ndarray, floor: float) -> np.ndarray:
+    """Indices i, 0 < i < len(power) - 1, where power[i] rises strictly from
+    the left, is at least its right neighbour and at least `floor`: one
+    numpy mask, so the left end of a plateau is the peak."""
+    inner = power[1:-1]
+    return 1 + np.flatnonzero((inner > power[:-2]) & (inner >= power[2:]) & (inner >= floor))
 
 
 @dataclass

@@ -5,7 +5,7 @@ helpers, so one kind of argument gets one rule and one message,
 "name=value ...":
 
 * an energy, exponent, inverse temperature or level energy is a finite
-  number > 0, not a bool (:func:`positive`);
+  number > 0, not a bool, a str, None or a complex (:func:`positive`);
 * a part cap, count or index is a Python int, not a bool, at or above its
   lower bound, and at most its upper bound where it has one
   (:func:`integer`);
@@ -53,8 +53,13 @@ def positive(name: str, value) -> float:
     """value if it is a finite number > 0, else DomainError (nan and inf too).
 
     True compares as 1, but an energy or exponent is never a bool, so True
-    and False are rejected too."""
-    if isinstance(value, bool) or not 0 < value < math.inf:
+    and False are rejected too.  So is anything that does not compare with
+    numbers, such as a str, None or a complex."""
+    try:
+        ok = not isinstance(value, bool) and 0 < value < math.inf
+    except TypeError:
+        ok = False
+    if not ok:
         raise DomainError(f"{name}={value!r} is not a finite number > 0")
     return value
 

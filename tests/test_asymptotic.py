@@ -7,6 +7,7 @@ import partition_dos as pd
 from partition_dos import asymptotic
 from partition_dos.asymptotic import C1
 from partition_dos.errors import DomainError
+from partition_dos.limits import positive
 
 
 def eta_direct(x: float, terms: int = 200_000) -> tuple[float, float]:
@@ -138,6 +139,77 @@ def test_shift_is_an_energy_substitution():
     assert shifted == pytest.approx(pd.bose_density_s1(50.0 - 1 / 24), rel=1e-12)
     with pytest.raises(DomainError):
         pd.rho_unrestricted(model, 1 / 48)
+
+
+def _rho_point(model, E):
+    """The smooth density at one E, written out per point as
+    rho_unrestricted was before rho_unrestricted_grid: the oracle that the
+    grid, and so rho_unrestricted, must match bit for bit."""
+    positive("E", E)
+    s = model.s
+    if model.statistics == pd.BOSE:
+        if model.rademacher_shift:
+            if E <= 1.0 / 24.0:
+                raise DomainError(f"E={E!r} does not exceed 1/24, as the shift needs")
+            E = E - 1.0 / 24.0
+        k = model.kappa
+        return (
+            k
+            * math.sqrt(s / (s + 1.0))
+            * E ** (-(3.0 * s + 1.0) / (2.0 * (s + 1.0)))
+            * math.exp(k * (s + 1.0) * E ** (1.0 / (1.0 + s))
+                       - (s + 1.0) * asymptotic._LOG_SQRT_2PI)
+        )
+    lam = model.lam
+    return (
+        math.sqrt(s * lam / (math.pi * (1.0 + s)))
+        / 2.0
+        * E ** (-(2.0 * s + 1.0) / (2.0 * (s + 1.0)))
+        * math.exp((1.0 + s) * lam * E ** (1.0 / (1.0 + s)))
+    )
+
+
+GRID_MODELS = [
+    pd.make_model(s, stats) for s in (0.5, 1, 2, 3, 8, 800) for stats in (pd.BOSE, pd.FERMI)
+] + [pd.make_model(1, pd.BOSE, rademacher_shift=True)]
+
+
+@pytest.mark.parametrize("model", GRID_MODELS,
+                         ids=lambda m: f"{m.s}-{m.statistics}-{m.rademacher_shift}")
+def test_density_grid_is_the_per_point_formula(model):
+    # Below 4000 no density here overflows; s = 0.5 bose does from ~4.7e3.
+    grid = [0.05, 0.5, 1.0, 2.5, 10.0, 77.7, 300.0, 1000.0, 3999.5]
+    grid += [float(n) for n in range(1, 2201, 7)] + [3, 50]  # ints too
+    expected = [_rho_point(model, E) for E in grid]
+    assert list(asymptotic.rho_unrestricted_grid(model, grid)) == expected
+    assert [pd.rho_unrestricted(model, E) for E in grid] == expected
+
+
+def _run(values):
+    """The values an iterator yields before it raises, and what it raises."""
+    out = []
+    try:
+        for value in values:
+            out.append(value)
+    except (DomainError, OverflowError) as exc:
+        return out, type(exc), str(exc)
+    return out, None, None
+
+
+@pytest.mark.parametrize(
+    "model,grid",
+    [
+        *[(m, [2.0, 700.0, bad]) for m in GRID_MODELS[:4] for bad in (0.0, -1.0, math.nan)],
+        (GRID_MODELS[-1], [1.0, 1 / 48, -1.0]),  # the shift's own floor
+        (pd.make_model(0.5, pd.BOSE), [100.0, 1e6, -1.0]),  # overflow comes first
+        (pd.make_model(0.5, pd.FERMI), [100.0, 1e6, -1.0]),
+        (pd.make_model(1, pd.BOSE), [10.0, "1", 1e6]),
+    ],
+)
+def test_density_grid_raises_at_the_first_bad_energy(model, grid):
+    loop = _run(_rho_point(model, E) for E in grid)
+    assert loop[1] is not None
+    assert _run(asymptotic.rho_unrestricted_grid(model, grid)) == loop
 
 
 def test_fermi_below_bose_pointwise():

@@ -115,6 +115,25 @@ def test_output_to_file(tmp_path, capsys):
     assert target.read_text().splitlines()[-1] == "4,5"
 
 
+def test_csv_rows_match_the_cell_join(capsys):
+    # Each row is one "%s,%s,..." format; the per-cell join it replaced is
+    # the reference, and a row holding None still takes that join.
+    rows = [
+        (1, 10**80 + 7, 1e-05, 1e16, "ok"),
+        (-2, 0, -0.0, math.inf, "mismatch"),
+        (3, None, 2.5e-300, 1.7976931348623157e308, None),
+        (None, None, None, None, None),
+        (True, pd.count(pd.SpectrumSpec(1), 2000), 0.1 + 0.2, 1e22, ""),
+    ]
+    columns = ["a", "b", "c", "d", "e"]
+    args = types.SimpleNamespace(format="csv", output="-")
+    cli.write_dataset({"command": "test"}, columns, rows, args)
+    body = capsys.readouterr().out.splitlines()[2:]
+    assert body == [",".join(cli._csv_cell(v) for v in row) for row in rows]
+    assert body[0] == "1," + str(10**80 + 7) + ",1e-05,1e+16,ok"
+    assert body[2] == "3,,2.5e-300,1.7976931348623157e+308,"
+
+
 @pytest.mark.parametrize("where, reason", [("missing/x.csv", "No such file or directory"),
                                            (".", "Is a directory")])
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys, where, reason):

@@ -1,5 +1,6 @@
 import ast
 import math
+from bisect import bisect_right
 import tracemalloc
 from graphlib import TopologicalSorter
 from pathlib import Path
@@ -238,6 +239,92 @@ def test_s1_recurrences_match_knapsack(distinct, n):
 def test_s1_recurrences_match_knapsack_property(distinct, parts, n):
     spec = pd.SpectrumSpec(1, distinct, parts)
     assert pd.build_table(spec, n).counts == tuple(counting._knapsack(spec, n))
+
+
+def _lagged_sum(row, n, offsets):
+    """Sum of row[n - g] over the increasing offsets g <= n."""
+    return sum([row[n - g] for g in offsets[: bisect_right(offsets, n)]])
+
+
+def _pentagonal_loop(n_max, distinct=False):
+    """p(n), or d(n), for n = 0..n_max by Euler's pentagonal recurrence, one
+    list comprehension over the offsets per n.  The oracle for the
+    itemgetter form of counting._pentagonal, which it was until that
+    replaced it."""
+    odd, even = counting._pentagonal_offsets(n_max)
+    source = {}
+    if distinct:
+        half_odd, half_even = counting._pentagonal_offsets(n_max // 2)
+        source = {2 * g: -1 for g in half_odd} | {2 * g: 1 for g in half_even}
+    row = [1]
+    for n in range(1, n_max + 1):
+        row.append(_lagged_sum(row, n, odd) - _lagged_sum(row, n, even) + source.get(n, 0))
+    return row
+
+
+def _sweep_loop(row, values):
+    """row[j] += row[j - v] for j from v upward, one Python add per entry and
+    value: the oracle for counting._add_parts, which it was until the
+    accumulate and block forms replaced it."""
+    for v in values:
+        for j in range(v, len(row)):
+            row[j] += row[j - v]
+    return row
+
+
+# Generalized pentagonal numbers <= 3000, where the recurrence gains a term.
+PENTAGONAL = sorted(sum(counting._pentagonal_offsets(3000), []))
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 8, 12, 100, 1000, 2200])
+def test_pentagonal_matches_its_loop(distinct, n):
+    assert counting._pentagonal(n, distinct) == _pentagonal_loop(n, distinct)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    distinct=st.booleans(),
+    n=st.one_of(
+        st.integers(0, 3000),
+        st.builds(lambda g, d: max(g + d, 0), st.sampled_from(PENTAGONAL), st.integers(-1, 1)),
+    ),
+)
+def test_pentagonal_matches_its_loop_property(distinct, n):
+    # n on a pentagonal number, or one either side of it, is where the
+    # itemgetters are rebuilt.
+    assert counting._pentagonal(n, distinct) == _pentagonal_loop(n, distinct)
+
+
+@pytest.mark.parametrize(
+    "size,values",
+    [
+        (1, [1]),
+        (9, [3]),  # v * v == len(row): the block form
+        (10, [3]),  # v * v < len(row): the accumulate form
+        (10, [10, 11, 50]),  # v >= len(row) changes nothing
+        (30, [1, 1, 2, 2, 5, 5, 5]),  # repeated values
+        (200, range(1, 200)),
+        (0, [1, 4]),
+    ],
+)
+def test_add_parts_matches_its_loop(size, values):
+    row = [(7 * j) % 5 - 1 for j in range(size)]
+    assert counting._add_parts(row[:], values) == _sweep_loop(row[:], values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=st.lists(st.integers(-(2**70), 2**70), max_size=150), data=st.data())
+def test_add_parts_matches_its_loop_property(row, data):
+    # Values on both sides of the switch between the two forms (v * v and
+    # len(row)), at or past the row's end, and repeated; big entries check
+    # that nothing is cut to a machine word.
+    root = max(math.isqrt(len(row)), 1)
+    edges = st.sampled_from([1, root, root + 1, len(row) or 1, len(row) + 1])
+    values = data.draw(st.lists(st.one_of(edges, st.integers(1, 160)), max_size=6))
+    expected = _sweep_loop(row[:], values)
+    assert counting._add_parts(row, values) is row
+    assert row == expected
 
 
 def _downward_sweep(values, n_max):

@@ -2,10 +2,11 @@
 
 Each public entry point rejects every argument outside its domain with a
 DomainError whose message starts "name=": an energy, exponent or inverse
-temperature must be a finite number > 0, not a bool (zeta's x one > 1), a
-part cap, window or index an int, not a bool, at or above its lower bound (a
-window, n_min or series index also at most the length it indexes), the
-statistics 'bose' or 'fermi', and a table size a nonnegative int.  A rule
+temperature must be a finite number > 0, not a bool, a str, None or a
+complex (zeta's x one > 1), a part cap, window or index an int, not a bool,
+at or above its lower bound (a window, n_min or series index also at most
+the length it indexes), the statistics 'bose' or 'fermi', and a table size
+a nonnegative int.  A rule
 that ties one argument to another (the -1/24 shift, a saddle part cap) or to
 a floor (beat_spectrum's 64 samples) names that argument too.  A table size
 over PARTITION_DOS_MAX_N, inf included, raises ResourceLimitError instead.
@@ -21,7 +22,8 @@ from partition_dos.errors import DomainError, ResourceLimitError
 
 NAN, INF = math.nan, math.inf
 BOOL = (True, False)  # an int to Python, but never a count or an energy
-REAL = (NAN, INF, -INF, 0.0, -1.0) + BOOL  # must be a finite number > 0
+# must be a finite number > 0; a str, None or a complex does not compare with 0
+REAL = (NAN, INF, -INF, 0.0, -1.0) + BOOL + ("1", None, 1j)
 PART = (NAN, INF, 0, -1, 2.5) + BOOL  # must be an int >= 1 (>= 3 for a window)
 WITHIN_10 = PART + (11,)  # as PART, and at most 10: a length-10 sequence or table
 INDEX = (NAN, INF, -1, 2.5) + BOOL  # must be an int >= 0
@@ -54,6 +56,8 @@ CASES = [
     ("rho_unrestricted[bose]", "E", REAL, lambda v: pd.rho_unrestricted(BOSE1, v)),
     ("rho_unrestricted[shift]", "E", REAL, lambda v: pd.rho_unrestricted(SHIFTED, v)),
     ("rho_unrestricted[fermi]", "E", REAL, lambda v: pd.rho_unrestricted(FERMI2, v)),
+    ("rho_unrestricted_grid", "E", REAL,
+     lambda v: list(asymptotic.rho_unrestricted_grid(BOSE1, [2.0, v]))),
     ("zeta", "x", ABOVE_1, pd.zeta),
     ("bose_density_s1", "E", REAL, pd.bose_density_s1),
     ("bose_density_s2", "E", REAL, asymptotic.bose_density_s2),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import partition_dos as pd
+from partition_dos import fluctuation
 from partition_dos.errors import DomainError, PrecisionLossError
 
 
@@ -176,3 +177,35 @@ def test_analyze_report_shape():
     assert rep.window == 50
     assert set(rep.summary) == {"first_ratio", "last_ratio", "decreasing", "peaks"}
     assert len(rep.summary["peaks"]) <= 5
+
+
+def _local_peaks_loop(power, floor):
+    """The peak indices by one Python comparison chain per bin: the loop the
+    numpy mask of fluctuation._local_peaks replaced, kept as its oracle."""
+    return [i for i in range(1, power.size - 1)
+            if power[i] > power[i - 1] and power[i] >= power[i + 1] and power[i] >= floor]
+
+
+@pytest.mark.parametrize(
+    "power",
+    [
+        [0.0, 3.0, 3.0, 1.0, 5.0, 5.0, 5.0, 2.0, 2.0, 4.0],  # plateaus, peak at the end
+        [1.0, 1.0, 1.0, 1.0],  # flat: no strict rise, no peak
+        [0.0, 2.0, 1.0, 2.0, 2.0, 0.0, 9.0],
+        [5.0, 4.0, 4.0, 6.0, 6.0],
+        [0.0, np.nan, 1.0, 0.5, np.inf, np.inf, 0.0],
+    ],
+)
+@pytest.mark.parametrize("floor", [0.0, 2.0, 4.5])
+def test_local_peaks_match_the_loop(power, floor):
+    power = np.array(power)
+    assert fluctuation._local_peaks(power, floor).tolist() == _local_peaks_loop(power, floor)
+
+
+def test_local_peaks_match_the_loop_on_rounded_noise():
+    # Rounding to 1 decimal makes many equal neighbours.
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        power = np.round(rng.random(rng.integers(3, 60)), 1)
+        floor = float(np.median(power))
+        assert fluctuation._local_peaks(power, floor).tolist() == _local_peaks_loop(power, floor)

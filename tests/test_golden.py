@@ -52,6 +52,10 @@ ARGVS = [
     "exact --s 2 --distinct --parts 8 --max 1500",
     "--help",
     "compare --s 1 --distinct --max 300 --format json",
+    "exact --s 2 --max 4900",
+    "compare --s 1 --max 2200",
+    "compare --s 1 --distinct --max 2200",
+    "asym --s 0.5 --statistics fermi --min 900 --max 1440 --step 9",
 ]
 
 
