@@ -56,12 +56,11 @@ def positive(name: str, value) -> float:
     and False are rejected too.  So is anything that does not compare with
     numbers, such as a str, None or a complex."""
     try:
-        ok = not isinstance(value, bool) and 0 < value < math.inf
+        if not isinstance(value, bool) and 0 < value < math.inf:
+            return value
     except TypeError:
-        ok = False
-    if not ok:
-        raise DomainError(f"{name}={value!r} is not a finite number > 0")
-    return value
+        pass
+    raise DomainError(f"{name}={value!r} is not a finite number > 0")
 
 
 def one_of(name: str, value, options: tuple):

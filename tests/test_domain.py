@@ -14,6 +14,7 @@ over PARTITION_DOS_MAX_N, inf included, raises ResourceLimitError instead.
 
 import math
 
+import numpy as np
 import pytest
 
 import partition_dos as pd
@@ -111,6 +112,15 @@ def test_outside_the_domain_is_domain_error(name, call, value):
     with pytest.raises(DomainError) as info:
         call(value)
     assert str(info.value).startswith(f"{name}={value!r} ")
+
+
+def test_numpy_float_scalars_are_numbers():
+    # positive() compares, so a numpy float scalar passes as a float does.
+    e = np.float64(300.0)
+    assert pd.bose_density_s1(e) == pd.bose_density_s1(300.0)
+    assert list(asymptotic.rho_unrestricted_grid(BOSE1, [e])) == [
+        pd.rho_unrestricted(BOSE1, 300.0)]
+    assert pd.make_model(np.float64(2.0), pd.FERMI) == FERMI2
 
 
 TABLES = [
