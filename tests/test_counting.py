@@ -1,7 +1,7 @@
 import ast
 import math
-from bisect import bisect_right
 import tracemalloc
+from bisect import bisect_right
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -248,9 +248,8 @@ def _lagged_sum(row, n, offsets):
 
 def _pentagonal_loop(n_max, distinct=False):
     """p(n), or d(n), for n = 0..n_max by Euler's pentagonal recurrence, one
-    list comprehension over the offsets per n.  The oracle for the
-    itemgetter form of counting._pentagonal, which it was until that
-    replaced it."""
+    list comprehension over the offsets per n: counting._pentagonal before
+    its itemgetter form, kept as that form's oracle."""
     odd, even = counting._pentagonal_offsets(n_max)
     source = {}
     if distinct:
@@ -264,8 +263,8 @@ def _pentagonal_loop(n_max, distinct=False):
 
 def _sweep_loop(row, values):
     """row[j] += row[j - v] for j from v upward, one Python add per entry and
-    value: the oracle for counting._add_parts, which it was until the
-    accumulate and block forms replaced it."""
+    value: counting._add_parts before its accumulate and block forms, kept
+    as their oracle."""
     for v in values:
         for j in range(v, len(row)):
             row[j] += row[j - v]
