@@ -66,7 +66,7 @@ _LAZY = {
         "fluctuation",
     ),
     **dict.fromkeys(
-        ("DosSplit", "PoissonEntropy", "SaddleResult", "ThermoSpec", "entropy",
+        ("DosSplit", "PoissonEntropy", "SaddleResult", "ThermoSpec",
          "entropy_poisson_s2", "find_saddle", "log_z", "single_particle_dos_s2"),
         "saddle",
     ),

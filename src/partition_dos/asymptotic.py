@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import counting
 from .errors import DomainError
 from .limits import integer, one_of, positive
 
@@ -270,7 +269,8 @@ def rho_restricted_fermi(E: float, n_parts: int, keep_half_term: bool = True) ->
     with each rho_i the at-most-i-parts smooth density evaluated with i (not
     N) in its inner exponent.  Terms whose shifted energy falls below twice
     C(1) are outside the inner formula's validity floor; for integer E they
-    are replaced by the exact restricted count, otherwise dropped.
+    are replaced by the exact restricted count p_<=i(m), m <= 3, in closed
+    form, otherwise dropped.
 
     High in the validity window the series over-subtracts and the result can
     go negative: for integer E it is below zero from E = 582 on for N = 20
@@ -292,8 +292,9 @@ def rho_restricted_fermi(E: float, n_parts: int, keep_half_term: bool = True) ->
             break
         if shifted < floor:
             if integral:
-                m = int(shifted)
-                total -= counting.conjugate_restricted_table(i, m)[m]
+                # p_<=i(m) for the integer m = shifted <= 3 (2 C(1) < 3.3):
+                # p(m) = 1, 1, 2, 3, less 1 + 1 + 1 when i = 2 and m = 3.
+                total -= max(1, min(i, int(shifted)))
         else:
             # shifted > 0 and i > N: the inner term skips the argument checks.
             total -= _bose_s1(shifted) * _erdos_lehner(shifted, i, keep_half_term)

@@ -18,10 +18,12 @@ _add_parts, row[j] += row[j - v], and the shifted add _add_row,
 dst[j] += src[j - shift].  Beside them, the only table arithmetic is the
 pentagonal recurrence and the packed product _packed_distinct, whose lane
 width _lane_bits proves with a saddle beta taken from Gamma(1 + 1/s) alone,
-so this module needs nothing from the float asymptotics.  None of these
-runs Python bytecode per table element: the row steps are slices of
-itertools.accumulate and map(add), and the pentagonal sums take their
-terms with operator.itemgetter, all in C.
+so this module needs nothing from the float asymptotics.  The row steps
+run no Python bytecode per table element: they are slices of
+itertools.accumulate and map(add), in C.  The pentagonal recurrence takes
+one Python step per n, whose sums gather their terms in C with
+operator.itemgetter.  The packed product takes one shift-add per part
+value, and one Python step per lane to join a lane wider than 64 bits.
 """
 
 from __future__ import annotations
@@ -83,9 +85,6 @@ class PartitionTable:
     @property
     def n_max(self) -> int:
         return len(self.counts) - 1
-
-    def __len__(self) -> int:
-        return len(self.counts)
 
     def __getitem__(self, n: int) -> int:
         return self.counts[n]
@@ -342,8 +341,6 @@ def enumerate_partitions(spec: SpectrumSpec, n: int, cap: int) -> list[list[int]
             if len(out) == cap:
                 raise ResourceLimitError(f"more than {cap} partitions of n={n} for {spec}")
             out.append(prefix[:])
-            return
-        if left == 0:
             return
         for i in range(start, len(values_desc)):
             v = values_desc[i]

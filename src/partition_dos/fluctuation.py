@@ -92,21 +92,19 @@ def amplitude_ratio(residual, smooth, window: int) -> np.ndarray:
     return peaks / sliding_window_view(smooth, window).mean(axis=1)
 
 
-def beat_spectrum(residual, smooth=None) -> list[tuple[float, float]]:
+def beat_spectrum(residual, smooth) -> list[tuple[float, float]]:
     """Spectral peaks of the residual sequence, strongest first.
 
-    The residual is optionally divided by the smooth curve (so the decaying
-    envelope does not drown the oscillation), mean-subtracted, tapered with
-    a Hann window, and Fourier transformed.  A peak is a local maximum of
+    The residual is divided by the smooth curve (so the decaying envelope
+    does not drown the oscillation), mean-subtracted, tapered with a Hann
+    window, and Fourier transformed.  A peak is a local maximum of
     the power spectrum at least five times the median power (with a tiny
     relative floor to ignore rounding noise).  Frequencies are in cycles
     per unit n.  Purely descriptive output.
     """
-    x = np.asarray(residual, dtype=float)
+    x, smooth = _paired(residual, smooth)
     integer("len(residual)", x.size, 64)
-    if smooth is not None:
-        x, smooth = _paired(x, smooth)
-        x = x / smooth
+    x = x / smooth
     x = x - x.mean()
     power = np.abs(np.fft.rfft(x * np.hanning(x.size))) ** 2
     freqs = np.fft.rfftfreq(x.size, d=1.0)

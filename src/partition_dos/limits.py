@@ -5,7 +5,8 @@ helpers, so one kind of argument gets one rule and one message,
 "name=value ...":
 
 * an energy, exponent, inverse temperature or level energy is a finite
-  number > 0, not a bool, a str, None or a complex (:func:`positive`);
+  number > 0, not a bool (Python's or numpy's), a str, None or a complex
+  (:func:`positive`);
 * a part cap, count or index is a Python int, not a bool, at or above its
   lower bound, and at most its upper bound where it has one
   (:func:`integer`);
@@ -23,6 +24,7 @@ raises DomainError rather than falling back to the default.
 
 import math
 import os
+from numbers import Number
 
 from .errors import DomainError, ResourceLimitError
 
@@ -53,10 +55,17 @@ def positive(name: str, value) -> float:
     """value if it is a finite number > 0, else DomainError (nan and inf too).
 
     True compares as 1, but an energy or exponent is never a bool, so True
-    and False are rejected too.  So is anything that does not compare with
-    numbers, such as a str, None or a complex."""
+    and False are rejected too, and so are numpy's bools, which are not
+    numbers.Number.  So is anything else that is not a number (a str or
+    None) or does not compare with numbers (a complex)."""
     try:
-        if not isinstance(value, bool) and 0 < value < math.inf:
+        # float and int are tested first: the numbers.Number check is an ABC
+        # lookup that would double the cost of the common call.
+        if (
+            isinstance(value, float)
+            or value.__class__ is int
+            or isinstance(value, Number) and not isinstance(value, bool)
+        ) and 0 < value < math.inf:
             return value
     except TypeError:
         pass

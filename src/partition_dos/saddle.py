@@ -150,11 +150,6 @@ def log_z(spec: ThermoSpec, beta: float) -> float:
     return _sum_terms(spec, beta)[0]
 
 
-def entropy(spec: ThermoSpec, E: float, beta: float) -> float:
-    """S(beta) = beta E + ln Z(beta)."""
-    return beta * E + log_z(spec, beta)
-
-
 def find_saddle(spec: ThermoSpec, E: float) -> SaddleResult:
     """Solve S'(beta0) = 0 and assemble the Gaussian density estimate.
 

@@ -12,11 +12,10 @@ even though all final counts are nonnegative.
 
 One builder, _product, forms every product over the part values m**s that
 counting.SpectrumSpec lists, and identities() builds each product once.
-The series arithmetic uses the exact tables' shifted-row add,
-counting._add_row: a product is one row add per nonzero coefficient of its
-sparser operand, and a sum is one row add.  A product never reads its
-partial result, only its two operands, so it stays a convolution and an
-independent oracle for the in-place _add_parts sweep.
+The product uses the exact tables' shifted-row add, counting._add_row: one
+row add per nonzero coefficient of its sparser operand.  A product never
+reads its partial result, only its two operands, so it stays a convolution
+and an independent oracle for the in-place _add_parts sweep.
 """
 
 from __future__ import annotations
@@ -59,27 +58,11 @@ class IntSeries:
     def coefficient(self, n: int) -> int:
         return self._coeffs[integer("n", n, 0, self.degree)]
 
-    def shifted(self, k: int) -> "IntSeries":
-        """Multiply by x**k, keeping the truncation degree."""
-        integer("shift", k, 0)
-        d = self.degree
-        if k > d:
-            return _unchecked((0,) * (d + 1))
-        return _unchecked((0,) * k + self._coeffs[: d + 1 - k])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntSeries) and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
-
-    def __add__(self, other: "IntSeries") -> "IntSeries":
-        if not isinstance(other, IntSeries):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        return _unchecked(_add_row(list(a), b))
 
     def __mul__(self, other: "IntSeries") -> "IntSeries":
         """The product truncated at the smaller degree.

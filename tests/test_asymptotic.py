@@ -269,6 +269,33 @@ def test_restricted_fermi_empty_sum():
     assert pd.rho_restricted_fermi(100.0, 15) == pd.fermi_density_s1(100.0)
 
 
+def _fermi_with_table_floor(E, n_parts, keep_half_term):
+    """rho_restricted_fermi with each sub-floor term read from the exact
+    at-most-i-parts table, as the closed form replaced it."""
+    total = pd.fermi_density_s1(E)
+    i = n_parts + 1
+    while (shifted := E - i * (i + 1) / 2.0) >= 0:
+        if shifted < 2.0 * C1:
+            m = int(shifted)
+            total -= pd.conjugate_restricted_table(i, m)[m]
+        else:
+            total -= pd.bose_density_s1(shifted) * pd.erdos_lehner_factor(
+                shifted, i, keep_half_term)
+        i += 1
+    return total
+
+
+@pytest.mark.parametrize("n_parts", [1, 2, 20, 30])
+def test_restricted_fermi_floor_terms_are_the_exact_counts(n_parts):
+    # Every integer E with a term at shifted energy m = 0..3, for i <= 80.
+    grid = sorted({i * (i + 1) // 2 + m for i in range(n_parts + 1, 81) for m in range(4)})
+    for E in grid:
+        for keep in (True, False):
+            want = _fermi_with_table_floor(float(E), n_parts, keep)
+            assert pd.rho_restricted_fermi(float(E), n_parts, keep) == want, E
+            assert pd.rho_restricted_fermi(E, n_parts, keep) == want, E
+
+
 def test_restricted_fermi_against_exact():
     d30 = pd.distinct_restricted_table(30, 300)[300]
     value = pd.rho_restricted_fermi(300.0, 30)

@@ -752,7 +752,7 @@ EXPORTS = {
     "series": ("IdentityReport", "IntSeries", "bose_gf", "distinct_restricted_gf",
                "fermi_gf", "geometric_factor", "identities", "one_minus_power",
                "verify_identity"),
-    "saddle": ("DosSplit", "PoissonEntropy", "SaddleResult", "ThermoSpec", "entropy",
+    "saddle": ("DosSplit", "PoissonEntropy", "SaddleResult", "ThermoSpec",
                "entropy_poisson_s2", "find_saddle", "log_z", "single_particle_dos_s2"),
     "fluctuation": ("FluctuationReport", "amplitude_ratio", "analyze", "beat_spectrum",
                     "residuals", "smooth_curve"),

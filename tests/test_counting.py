@@ -412,7 +412,11 @@ def _package_imports():
 
 def test_package_imports_have_no_cycle():
     graph = _package_imports()
+    # The exact layer (counting, series) and the float layer (asymptotic,
+    # saddle) share no import.
     assert graph["counting"] == {"errors", "limits"}
+    assert graph["asymptotic"] == {"errors", "limits"}
+    assert not graph["saddle"] & {"counting", "series"}
     TopologicalSorter(graph).prepare()  # raises CycleError, naming the cycle
 
 

@@ -2,12 +2,12 @@
 
 Each public entry point rejects every argument outside its domain with a
 DomainError whose message starts "name=": an energy, exponent or inverse
-temperature must be a finite number > 0, not a bool, a str, None or a
-complex (zeta's x one > 1), a part cap, window or index an int, not a bool,
-at or above its lower bound (a window, n_min or series index also at most
-the length it indexes), the statistics 'bose' or 'fermi', and a table size
-a nonnegative int.  A rule
-that ties one argument to another (the -1/24 shift, a saddle part cap) or to
+temperature must be a finite number > 0, not a bool (numpy's included), a
+str, None or a complex (zeta's x one > 1), a part cap, window or index an
+int, not a bool, at or above its lower bound (a window, n_min or series
+index also at most the length it indexes), the statistics 'bose' or
+'fermi', and a table size a nonnegative int.  A rule that ties one
+argument to another (the -1/24 shift, a saddle part cap) or to
 a floor (beat_spectrum's 64 samples) names that argument too.  A table size
 over PARTITION_DOS_MAX_N, inf included, raises ResourceLimitError instead.
 """
@@ -23,8 +23,9 @@ from partition_dos.errors import DomainError, ResourceLimitError
 
 NAN, INF = math.nan, math.inf
 BOOL = (True, False)  # an int to Python, but never a count or an energy
-# must be a finite number > 0; a str, None or a complex does not compare with 0
-REAL = (NAN, INF, -INF, 0.0, -1.0) + BOOL + ("1", None, 1j)
+# must be a finite number > 0; a str, None or a complex does not compare with
+# 0, and numpy's bools compare as 0 and 1 but are no numbers.Number
+REAL = (NAN, INF, -INF, 0.0, -1.0) + BOOL + ("1", None, 1j, np.True_, np.False_)
 PART = (NAN, INF, 0, -1, 2.5) + BOOL  # must be an int >= 1 (>= 3 for a window)
 WITHIN_10 = PART + (11,)  # as PART, and at most 10: a length-10 sequence or table
 INDEX = (NAN, INF, -1, 2.5) + BOOL  # must be an int >= 0
@@ -84,7 +85,8 @@ CASES = [
      lambda v: pd.entropy_poisson_s2(100.0, 0.1, 3, v)),
     ("amplitude_ratio.window", "window", WITHIN_10,
      lambda v: pd.amplitude_ratio([0.0] * 10, [1.0] * 10, v)),
-    ("beat_spectrum", "len(residual)", (0, 10, 63), lambda v: pd.beat_spectrum([0.0] * v)),
+    ("beat_spectrum", "len(residual)", (0, 10, 63),
+     lambda v: pd.beat_spectrum([0.0] * v, np.ones(v))),
     ("residuals.n_min", "n_min", WITHIN_10, lambda v: pd.residuals(D2_TO_10, FERMI2, v)),
     ("analyze.n_min", "n_min", WITHIN_10,
      lambda v: pd.analyze(D2_TO_10, FERMI2, window=3, n_min=v)),
@@ -115,7 +117,7 @@ def test_outside_the_domain_is_domain_error(name, call, value):
 
 
 def test_numpy_float_scalars_are_numbers():
-    # positive() compares, so a numpy float scalar passes as a float does.
+    # A numpy float scalar is a float, so positive() passes it as one.
     e = np.float64(300.0)
     assert pd.bose_density_s1(e) == pd.bose_density_s1(300.0)
     assert list(asymptotic.rho_unrestricted_grid(BOSE1, [e])) == [

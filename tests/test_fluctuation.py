@@ -131,7 +131,7 @@ def test_distinct_square_ratios_dominate_s1_and_decay():
 
 def test_beat_spectrum_single_sinusoid():
     t = np.arange(256)
-    peaks = pd.beat_spectrum(np.sin(2 * np.pi * 16 / 256 * t))
+    peaks = pd.beat_spectrum(np.sin(2 * np.pi * 16 / 256 * t), np.ones(256))
     assert len(peaks) == 1
     assert peaks[0][0] == pytest.approx(16 / 256, abs=1e-12)
 
@@ -139,7 +139,7 @@ def test_beat_spectrum_single_sinusoid():
 def test_beat_spectrum_two_sinusoids():
     t = np.arange(256)
     x = np.sin(2 * np.pi * 16 / 256 * t) + 0.5 * np.sin(2 * np.pi * 48 / 256 * t)
-    peaks = pd.beat_spectrum(x)
+    peaks = pd.beat_spectrum(x, np.ones(256))
     assert len(peaks) == 2
     assert peaks[0][0] == pytest.approx(16 / 256, abs=1e-12)
     assert peaks[1][0] == pytest.approx(48 / 256, abs=1e-12)
@@ -148,7 +148,7 @@ def test_beat_spectrum_two_sinusoids():
 
 def test_beat_spectrum_needs_enough_samples():
     with pytest.raises(DomainError):
-        pd.beat_spectrum(np.zeros(63))
+        pd.beat_spectrum(np.zeros(63), np.ones(63))
 
 
 def test_beat_spectrum_smooth_must_match_the_residual():

@@ -412,10 +412,3 @@ def test_poisson_entropy_no_oscillation_requested():
 def test_poisson_entropy_domains(bad):
     with pytest.raises(DomainError):
         bad()
-
-
-def test_entropy_helper():
-    spec = pd.ThermoSpec(1, pd.BOSE)
-    assert pd.entropy(spec, 100.0, 0.2) == pytest.approx(
-        0.2 * 100.0 + pd.log_z(spec, 0.2), rel=1e-14
-    )
