@@ -224,7 +224,10 @@ def fermi_density_s1(E: float) -> float:
     because a lone rho_unrestricted call is the slower, as for
     bose_density_s1.
     """
-    positive("E", E)
+    return _fermi_s1(positive("E", E))
+
+
+def _fermi_s1(E: float) -> float:
     return math.exp(math.pi * math.sqrt(E / 3.0)) / (4.0 * 3.0**0.25 * E**0.75)
 
 
@@ -279,24 +282,60 @@ def rho_restricted_fermi(E: float, n_parts: int, keep_half_term: bool = True) ->
     yet bose_density_s1(m) * erdos_lehner_factor(m, i) exceeds the exact
     at-most-i-parts count by 12x (N = 20, E = 631, i = 21) and 69x
     (N = 30, E = 1456, i = 31).
+
+    The one-point call of :func:`rho_restricted_fermi_grid`.
     """
-    positive("E", E)
-    integer("n_parts", n_parts, 1)
-    total = fermi_density_s1(E)
+    return next(rho_restricted_fermi_grid((E,), n_parts, keep_half_term))
+
+
+def rho_restricted_fermi_grid(energies, n_parts: int,
+                              keep_half_term: bool = True) -> Iterator[float]:
+    """Yield rho_restricted_fermi(E, n_parts, keep_half_term) for each E of
+    `energies`, in turn.
+
+    Each point runs the same float operations in the same order as a lone
+    call, so the values are the same bits; what a grid shares is taken once.
+    i(i+1)/2 and -pi i are kept per i, and the parts of an inner term that
+    do not depend on i, bose_density_s1(m), sqrt(6m) and
+    -(sqrt(6m)/pi - 1/2), once per shifted energy m, which on a grid of
+    integers recurs at almost every point.  Each E is checked just before
+    its value is computed, and n_parts with the first E, so a grid raises
+    where a loop of rho_restricted_fermi calls would: DomainError for an E
+    that is not a finite number > 0 (named before a bad n_parts), or
+    OverflowError from a density past the float range.  An empty grid
+    raises nothing.
+    """
+    sqrt, exp, pi, inf = math.sqrt, math.exp, math.pi, math.inf
+    half = 0.5 if keep_half_term else 0.0
     floor = 2.0 * C1
-    integral = float(E).is_integer()
-    i = n_parts + 1
-    while True:
-        shifted = E - i * (i + 1) / 2.0
-        if shifted < 0:
-            break
-        if shifted < floor:
-            if integral:
-                # p_<=i(m) for the integer m = shifted <= 3 (2 C(1) < 3.3):
-                # p(m) = 1, 1, 2, 3, less 1 + 1 + 1 when i = 2 and m = 3.
-                total -= max(1, min(i, int(shifted)))
-        else:
-            # shifted > 0 and i > N: the inner term skips the argument checks.
-            total -= _bose_s1(shifted) * _erdos_lehner(shifted, i, keep_half_term)
-        i += 1
-    return total
+    steps: list[tuple[int, float, float]] = []  # (i, i(i+1)/2, -pi i) for i > N
+    inner: dict[float, tuple[float, float, float]] = {}  # m -> the i-free parts
+    for E in energies:
+        if E.__class__ is not float or not 0.0 < E < inf:
+            positive("E", E)
+        if not steps:
+            top = integer("n_parts", n_parts, 1)  # the last i in steps
+        total = _fermi_s1(E)
+        # Cover every i with E - i(i+1)/2 >= 0, and the first i past them.
+        while not steps or E - steps[-1][1] >= 0:
+            top += 1
+            steps.append((top, top * (top + 1) / 2.0, -pi * top))
+        integral = float(E).is_integer()
+        for i, tri, slope in steps:
+            shifted = E - tri
+            if shifted < 0:
+                break
+            if shifted < floor:
+                if integral:
+                    # p_<=i(m) for the integer m = shifted <= 3 (2 C(1) < 3.3):
+                    # p(m) = 1, 1, 2, 3, less 1 + 1 + 1 when i = 2 and m = 3.
+                    total -= max(1, min(i, int(shifted)))
+                continue
+            # shifted > 0 and i > N: the inner term needs no argument checks.
+            parts = inner.get(shifted)
+            if parts is None:
+                root = sqrt(6.0 * shifted)
+                parts = inner[shifted] = (_bose_s1(shifted), root, -(root / pi - half))
+            bose, root, amplitude = parts
+            total -= bose * exp(amplitude * exp(slope / root))
+        yield total

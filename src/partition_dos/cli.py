@@ -165,7 +165,7 @@ def cmd_asym(args) -> int:
                     for e in grid]
             columns = ["E", "density", "in_validity"]
         else:
-            rows = [(e, asymptotic.rho_restricted_fermi(e, args.parts, keep)) for e in grid]
+            rows = list(zip(grid, asymptotic.rho_restricted_fermi_grid(grid, args.parts, keep)))
             columns = ["E", "density"]
     else:
         model = asymptotic.make_model(args.s, stats, args.shift)
@@ -295,11 +295,13 @@ def cmd_figure(args) -> int:
     top = grid.stop - 1
     table = counting.build_table(counting.SpectrumSpec(1, fid == 6, n_parts), top).counts
     if fid == 5:
-        free, capped = asymptotic.bose_density_s1, asymptotic.rho_restricted_bose
+        free = asymptotic.bose_density_s1
+        capped = (asymptotic.rho_restricted_bose(float(n), n_parts) for n in grid)
     else:
-        free, capped = asymptotic.fermi_density_s1, asymptotic.rho_restricted_fermi
-    rows = [(n, free(float(n)) - float(table[n]),
-             capped(float(n), n_parts) - float(table[n])) for n in grid]
+        free = asymptotic.fermi_density_s1
+        capped = asymptotic.rho_restricted_fermi_grid(map(float, grid), n_parts)
+    rows = [(n, free(float(n)) - float(table[n]), smooth - float(table[n]))
+            for n, smooth in zip(grid, capped)]
     meta = _meta("figure", id=fid, parts=n_parts, min=grid.start, max=top)
     write_dataset(meta, ["n", "diff_unrestricted", "diff_restricted"], rows, args)
     return EXIT_OK

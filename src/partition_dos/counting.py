@@ -389,25 +389,31 @@ def distinct_restricted_table(n_parts: int, n_max: int) -> list[int]:
     """d_N(n) for n = 0..n_max through the staircase decomposition.
 
     A partition into exactly i distinct parts minus the staircase
-    (i, i-1, ..., 1) is a partition into at most i parts, so
+    (i, i-1, ..., 1) is a partition into at most i parts, so d_N(n) is the
+    coefficient of x**n in
 
-        d_N(n) = sum over i = 0..N of p_i(n - i(i+1)/2),
+        sum over i = 0..N of x**(i(i+1)/2) / ((1 - x)(1 - x**2)...(1 - x**i)),
 
-    where p_i is the at-most-i-parts count and the i = 0 term is the empty
-    partition at n = 0.  The route build_table(SpectrumSpec(1, True,
-    n_parts), ...) takes when the cap binds, and so the exact count behind
-    figure 6; the audit identities staircase_decomposition_N* hold it to
-    the distinct exactly-k recurrence :func:`_at_most_parts`.
+    where the i = 0 term is 1, the empty partition at n = 0.
+    The sum is taken in nested form, as R_1 with
+
+        R_i = 1 + x**i / (1 - x**i) * R_(i+1),
+
+    from i = min(N, the last i with i(i+1)/2 <= n_max) down to 1, and R
+    equal to 1 above that i.  R_i stands behind x**(1 + 2 + ... + (i-1)), so
+    it is kept only to degree n_max - i(i-1)/2.  Each i then costs one
+    :func:`_add_parts` sweep by i over a row that shrinks as i grows, where
+    the sum taken term by term costs a sweep and a shifted :func:`_add_row`,
+    both over the full row, for each i: about half the adds.  The route
+    build_table(SpectrumSpec(1, True, n_parts), ...) takes when the cap
+    binds, and so the exact count behind figure 6; the audit identities
+    staircase_decomposition_N* hold it to the distinct exactly-k recurrence
+    :func:`_at_most_parts`.
     """
     integer("n_parts", n_parts, 1)
     table_size("n_max", n_max)
-    base = [1] + [0] * n_max  # at most i parts; starts at i = 0
-    out = [1] + [0] * n_max
-    for i in range(1, n_parts + 1):
-        tri = i * (i + 1) // 2
-        if tri > n_max:
-            break
-        # extend base from "<= i-1 parts" to "<= i parts", then shift it in
-        _add_row(out, _add_parts(base, (i,)), tri)
-    return out
-
+    top = min(n_parts, (math.isqrt(8 * n_max + 1) - 1) // 2)
+    row = [1] + [0] * (n_max - top * (top + 1) // 2)  # R_(top+1)
+    for i in range(top, 0, -1):
+        row = [1] + [0] * (i - 1) + _add_parts(row, (i,))
+    return row

@@ -157,7 +157,13 @@ def _product(factor, s: int, degree: int, top: int | None = None) -> IntSeries:
 
 
 def bose_gf(s: int, degree: int) -> IntSeries:
-    """Product of 1/(1 - x^(m**s)); coefficient of x^n counts multisets."""
+    """Product of 1/(1 - x^(m**s)); coefficient of x^n counts multisets.
+
+    Each factor is one geometric_factor.  Split into the two-term factors
+    1 + x^(v 2^j), as distinct_restricted_gf splits it, the product was no
+    faster: 67 against 70 ms at degree 560, and 1.8 against 2.2 ms at
+    degree 100, for s = 1 (Python 3.11, one core of a 2-core x86_64 host).
+    """
     return _product(geometric_factor, s, degree)
 
 
@@ -175,6 +181,13 @@ def distinct_restricted_gf(n_parts: int, degree: int) -> IntSeries:
     counting.distinct_restricted_table; with every staircase offset included
     it is the oracle for the full product fermi_gf(1, degree) in the audit
     identity staircase_series.
+
+    Each 1/(1 - x^i) is taken as the two-term factors 1 + x^(i 2^j) with
+    i 2^j <= degree, since 1/(1 - y) = product over j of (1 + y^(2^j)).  A
+    product by one of them is two row adds where geometric_factor(i) costs
+    degree / i, and every step is still IntSeries.__mul__ of two operands,
+    so the series stays a convolution.  At (n_parts, degree) = (561, 560)
+    that took 36 ms to 12 ms.
     """
     integer("n_parts", n_parts, 1)
     prod = IntSeries([1], series_degree(degree))
@@ -183,7 +196,10 @@ def distinct_restricted_gf(n_parts: int, degree: int) -> IntSeries:
         tri = i * (i + 1) // 2
         if tri > degree:
             break
-        prod = prod * geometric_factor(i, degree)
+        k = i
+        while k <= degree:
+            prod = prod * one_plus_power(k, degree)
+            k *= 2
         _add_row(out, prod.coeffs, tri)
     return _unchecked(out)
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from scipy import special
@@ -7,7 +8,7 @@ import partition_dos as pd
 from partition_dos import asymptotic
 from partition_dos.asymptotic import C1
 from partition_dos.errors import DomainError
-from partition_dos.limits import positive
+from partition_dos.limits import integer, positive
 
 
 def eta_direct(x: float, terms: int = 200_000) -> tuple[float, float]:
@@ -294,6 +295,75 @@ def test_restricted_fermi_floor_terms_are_the_exact_counts(n_parts):
             want = _fermi_with_table_floor(float(E), n_parts, keep)
             assert pd.rho_restricted_fermi(float(E), n_parts, keep) == want, E
             assert pd.rho_restricted_fermi(E, n_parts, keep) == want, E
+
+
+def _fermi_point(E, n_parts, keep_half_term=True):
+    """rho_restricted_fermi at one E, written out per point as it was before
+    rho_restricted_fermi_grid: the oracle that the grid, and so
+    rho_restricted_fermi, must match bit for bit."""
+    positive("E", E)
+    integer("n_parts", n_parts, 1)
+    total = pd.fermi_density_s1(E)
+    integral = float(E).is_integer()
+    i = n_parts + 1
+    while True:
+        shifted = E - i * (i + 1) / 2.0
+        if shifted < 0:
+            break
+        if shifted < 2.0 * C1:
+            if integral:
+                total -= max(1, min(i, int(shifted)))
+        else:
+            total -= asymptotic._bose_s1(shifted) * asymptotic._erdos_lehner(
+                shifted, i, keep_half_term)
+        i += 1
+    return total
+
+
+# Unsorted, each E repeated, integer and non-integer floats and ints mixed.
+_UNSORTED = ([float(n) for n in range(1, 1500, 7)] * 3
+             + [0.25 + 9.1 * k for k in range(150)] * 2 + [300, 1229, 7, 1229])
+random.Random(25).shuffle(_UNSORTED)
+FERMI_GRIDS = {
+    "integers": [float(n) for n in range(1, 2700)],
+    "non-integers": [2.5 + 3.7 * k for k in range(700)],
+    "unsorted": _UNSORTED,
+}
+
+
+@pytest.mark.parametrize("keep", [True, False])
+@pytest.mark.parametrize("n_parts", [1, 2, 3, 20, 30, 40])
+@pytest.mark.parametrize("grid", list(FERMI_GRIDS), ids=list(FERMI_GRIDS))
+def test_restricted_fermi_grid_is_the_per_point_series(grid, n_parts, keep):
+    energies = FERMI_GRIDS[grid]
+    want = [_fermi_point(E, n_parts, keep).hex() for E in energies]
+    got = asymptotic.rho_restricted_fermi_grid(energies, n_parts, keep)
+    assert [value.hex() for value in got] == want
+    assert [pd.rho_restricted_fermi(E, n_parts, keep).hex() for E in energies] == want
+
+
+@pytest.mark.parametrize(
+    "grid,n_parts",
+    [
+        ([2.0, 700.0, -1.0], 20),
+        ([2.0, 700.0, math.nan, 5.0], 20),
+        ([300.0, 1e6, -1.0], 20),  # the series overflows before the bad E
+        ([300.0, 1e6], 20),
+        ([-1.0, 300.0], 0),  # a bad E is named before a bad n_parts
+        ([300.0, -1.0], 0),
+        ([300.0, 400.0], 2.5),
+        ([300.0, "1", 400.0], 5),
+    ],
+)
+def test_restricted_fermi_grid_raises_at_the_first_bad_energy(grid, n_parts):
+    loop = _run(_fermi_point(E, n_parts) for E in grid)
+    assert loop[1] is not None
+    assert _run(asymptotic.rho_restricted_fermi_grid(grid, n_parts)) == loop
+
+
+def test_restricted_fermi_grid_of_no_energy_raises_nothing():
+    assert list(asymptotic.rho_restricted_fermi_grid([], 0)) == []
+    assert list(asymptotic.rho_restricted_fermi_grid(iter(()), "x", keep_half_term=False)) == []
 
 
 def test_restricted_fermi_against_exact():

@@ -204,6 +204,33 @@ def test_staircase_identity_tables():
         assert via_identity == counting._at_most_parts(n_parts, True, 200)
 
 
+def _staircase_term_by_term(n_parts, n_max):
+    """d_N(n) for n = 0..n_max as distinct_restricted_table summed the
+    staircase before its nested form: each i extends the at-most-(i-1)-parts
+    row to at most i parts with a full-row sweep, then adds it shifted by
+    i(i+1)/2.  The oracle the nested form must match entry for entry."""
+    base = [1] + [0] * n_max
+    out = [1] + [0] * n_max
+    for i in range(1, n_parts + 1):
+        tri = i * (i + 1) // 2
+        if tri > n_max:
+            break
+        counting._add_row(out, counting._add_parts(base, (i,)), tri)
+    return out
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 50, 657, 2631])
+@pytest.mark.parametrize("n_parts", [1, 2, 3, 7, 20, 40, 76, 77, 200])
+def test_nested_staircase_is_the_term_by_term_sum(n_parts, n_max):
+    assert pd.distinct_restricted_table(n_parts, n_max) == _staircase_term_by_term(n_parts, n_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_parts=st.integers(1, 90), n_max=st.integers(0, 700))
+def test_nested_staircase_random_caps(n_parts, n_max):
+    assert pd.distinct_restricted_table(n_parts, n_max) == _staircase_term_by_term(n_parts, n_max)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     s=st.integers(1, 3),

@@ -70,6 +70,11 @@ CASES = [
     ("rho_restricted_bose.N", "n_parts", PART, lambda v: pd.rho_restricted_bose(100.0, v)),
     ("rho_restricted_fermi.E", "E", REAL, lambda v: pd.rho_restricted_fermi(v, 5)),
     ("rho_restricted_fermi.N", "n_parts", PART, lambda v: pd.rho_restricted_fermi(100.5, v)),
+    ("rho_restricted_fermi_grid.E", "E", REAL,
+     lambda v: list(asymptotic.rho_restricted_fermi_grid([400.0, v, 300.0], 5))),
+    ("rho_restricted_fermi_grid.N", "n_parts", PART,
+     lambda v: list(asymptotic.rho_restricted_fermi_grid([100.5, 400.0], v))),
+    ("rho_restricted_fermi.E_before_N", "E", REAL, lambda v: pd.rho_restricted_fermi(v, 0)),
     ("validity_region", "n_parts", PART, pd.validity_region),
     ("find_saddle", "E", REAL, lambda v: pd.find_saddle(FREE, v)),
     ("log_z", "beta", REAL, lambda v: pd.log_z(FREE, v)),

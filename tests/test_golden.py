@@ -56,6 +56,12 @@ ARGVS = [
     "compare --s 1 --max 2200",
     "compare --s 1 --distinct --max 2200",
     "asym --s 0.5 --statistics fermi --min 900 --max 1440 --step 9",
+    "figure 6 --parts 40",
+    "figure 6 --parts 3",
+    "asym --s 1 --parts 25 --statistics fermi --min 2.5 --max 1200 --step 3.7",
+    "asym --s 1 --parts 20 --statistics fermi --drop-half-term --min 1 --max 700",
+    "exact --distinct --parts 12 --max 3000",
+    "audit --degree 560",
 ]
 
 

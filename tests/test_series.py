@@ -178,6 +178,29 @@ def _finite_product(n_parts, degree):
     return out
 
 
+def _staircase_series_geometric(n_parts, degree):
+    """distinct_restricted_gf as it was before the split: each 1/(1 - x^i)
+    one geometric_factor product.  The oracle for the two-term factors."""
+    prod = pd.IntSeries([1], degree)
+    out = [1] + [0] * degree
+    for i in range(1, n_parts + 1):
+        tri = i * (i + 1) // 2
+        if tri > degree:
+            break
+        prod = prod * pd.geometric_factor(i, degree)
+        counting._add_row(out, prod.coeffs, tri)
+    return pd.IntSeries(out)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 5, 100, 300])
+@pytest.mark.parametrize("n_parts", [1, 4, 30, None], ids=["1", "4", "30", "degree+1"])
+def test_split_staircase_series_is_the_geometric_one(n_parts, degree):
+    n_parts = degree + 1 if n_parts is None else n_parts
+    got = pd.distinct_restricted_gf(n_parts, degree)
+    assert got == _staircase_series_geometric(n_parts, degree)
+    assert got.degree == degree
+
+
 def test_finite_product_matches_conjugate_count():
     assert _finite_product(1, 5).coeffs == (1, 1, 1, 1, 1, 1)
     for n_parts in (1, 3, 12):
