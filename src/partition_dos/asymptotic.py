@@ -9,11 +9,15 @@ from two special-function combinations:
 
 together with kappa_s = (C/s)**(s/(1+s)) and lambda_s = (D/s)**(s/(1+s)).
 This module provides the real-line special functions, the general smooth
-densities for both statistics (at one energy, or over a grid of energies
-in one pass), the classical s = 1 and s = 2 printed forms,
+densities for both statistics, the classical s = 1 and s = 2 printed forms,
 the exponentially small at-most-N-parts correction (Erdos-Lehner), and its
 distinct-partition analogue built from a staircase-shifted subtraction
-series.
+series.  The general density and the distinct analogue each have one
+implementation, a generator over a grid of energies
+(rho_unrestricted_grid, rho_restricted_fermi_grid) that takes what the
+points share once; the one-energy functions are its one-point calls, so a
+grid yields the same bits as a loop of them and raises where that loop
+would.
 """
 
 from __future__ import annotations
@@ -243,11 +247,11 @@ def erdos_lehner_factor(E: float, n_parts: int, keep_half_term: bool = True) -> 
         exp[-(sqrt(6E)/pi - 1/2) * exp(-pi N / sqrt(6E))]
 
     keep_half_term=False drops the -1/2, which is negligible at large E.
+    rho_restricted_fermi_grid runs the same float operations, with the parts
+    that do not depend on N taken once per energy.
     """
-    return _erdos_lehner(positive("E", E), integer("n_parts", n_parts, 1), keep_half_term)
-
-
-def _erdos_lehner(E: float, n_parts: int, keep_half_term: bool) -> float:
+    positive("E", E)
+    integer("n_parts", n_parts, 1)
     root = math.sqrt(6.0 * E)
     amplitude = root / math.pi - (0.5 if keep_half_term else 0.0)
     return math.exp(-amplitude * math.exp(-math.pi * n_parts / root))

@@ -160,9 +160,11 @@ def bose_gf(s: int, degree: int) -> IntSeries:
     """Product of 1/(1 - x^(m**s)); coefficient of x^n counts multisets.
 
     Each factor is one geometric_factor.  Split into the two-term factors
-    1 + x^(v 2^j), as distinct_restricted_gf splits it, the product was no
-    faster: 67 against 70 ms at degree 560, and 1.8 against 2.2 ms at
-    degree 100, for s = 1 (Python 3.11, one core of a 2-core x86_64 host).
+    1 + x^(v 2^j), as distinct_restricted_gf splits it, the s = 1 product
+    took 1.6 -> 1.9 ms at degree 100 and 6.2 -> 6.3 ms at 200, and
+    50 -> 44 ms at 560 (Python 3.11, one core of a 2-core x86_64 host):
+    slower below degree ~250 and faster above it, so neither form wins at
+    every degree and no second path chosen by degree was added.
     """
     return _product(geometric_factor, s, degree)
 
@@ -186,8 +188,10 @@ def distinct_restricted_gf(n_parts: int, degree: int) -> IntSeries:
     i 2^j <= degree, since 1/(1 - y) = product over j of (1 + y^(2^j)).  A
     product by one of them is two row adds where geometric_factor(i) costs
     degree / i, and every step is still IntSeries.__mul__ of two operands,
-    so the series stays a convolution.  At (n_parts, degree) = (561, 560)
-    that took 36 ms to 12 ms.
+    so the series stays a convolution.  That took (n_parts, degree) =
+    (561, 560) from 21 to 9.6 ms, and (30, 400) from 10 to 5.2 ms (same
+    host as above).  bose_gf keeps its geometric factors; its docstring
+    says why.
     """
     integer("n_parts", n_parts, 1)
     prod = IntSeries([1], series_degree(degree))

@@ -314,7 +314,7 @@ def _fermi_point(E, n_parts, keep_half_term=True):
             if integral:
                 total -= max(1, min(i, int(shifted)))
         else:
-            total -= asymptotic._bose_s1(shifted) * asymptotic._erdos_lehner(
+            total -= pd.bose_density_s1(shifted) * pd.erdos_lehner_factor(
                 shifted, i, keep_half_term)
         i += 1
     return total
