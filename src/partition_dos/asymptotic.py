@@ -222,11 +222,12 @@ def fermi_density_s1(E: float) -> float:
     for rho_unrestricted(make_model(1, FERMI), E), the curve figure 3
     draws.  It is also figure 6's smooth curve: cli.cmd_figure subtracts
     the exact count from it for the diff_unrestricted column, and
-    rho_restricted_fermi starts from it.  It stays a separate form because
-    tests/test_asymptotic.py and acceptance criterion 8 pin
-    rho_restricted_fermi to exactly this value below (N+1)(N+2)/2, and
-    because a lone rho_unrestricted call is the slower, as for
-    bose_density_s1.
+    rho_restricted_fermi_grid (so rho_restricted_fermi) starts from
+    _fermi_s1, the same formula without the argument check.  It stays a
+    separate form because tests/test_asymptotic.py and acceptance
+    criterion 8 pin rho_restricted_fermi to exactly this value below
+    (N+1)(N+2)/2, and because a lone rho_unrestricted call is the slower,
+    as for bose_density_s1.
     """
     return _fermi_s1(positive("E", E))
 
@@ -301,19 +302,24 @@ def rho_restricted_fermi_grid(energies, n_parts: int,
     call, so the values are the same bits; what a grid shares is taken once.
     i(i+1)/2 and -pi i are kept per i, and the parts of an inner term that
     do not depend on i, bose_density_s1(m), sqrt(6m) and
-    -(sqrt(6m)/pi - 1/2), once per shifted energy m, which on a grid of
-    integers recurs at almost every point.  Each E is checked just before
-    its value is computed, and n_parts with the first E, so a grid raises
-    where a loop of rho_restricted_fermi calls would: DomainError for an E
-    that is not a finite number > 0 (named before a bad n_parts), or
-    OverflowError from a density past the float range.  An empty grid
-    raises nothing.
+    -(sqrt(6m)/pi - 1/2), once per shifted energy m when E is an integer:
+    on a grid of integers m recurs at almost every point, and the memo
+    holds at most one entry per integer up to the largest E.  Other points
+    compute those parts in place, so a grid of them needs no memory beyond
+    the per-i steps.  Each E is checked just before its value is computed,
+    and n_parts with the first E, so a grid raises where a loop of
+    rho_restricted_fermi calls would: DomainError for an E that is not a
+    finite number > 0 (named before a bad n_parts), or OverflowError from
+    a density past the float range.  An empty grid raises nothing.
     """
     sqrt, exp, pi, inf = math.sqrt, math.exp, math.pi, math.inf
     half = 0.5 if keep_half_term else 0.0
     floor = 2.0 * C1
     steps: list[tuple[int, float, float]] = []  # (i, i(i+1)/2, -pi i) for i > N
-    inner: dict[float, tuple[float, float, float]] = {}  # m -> the i-free parts
+    # Integer m -> the i-free parts.  Only integer E fill it: their m are
+    # integers below the largest E, so it holds at most one entry per
+    # integer, where the shifted energies of other grids seldom recur.
+    inner: dict[float, tuple[float, float, float]] = {}
     for E in energies:
         if E.__class__ is not float or not 0.0 < E < inf:
             positive("E", E)
@@ -336,10 +342,14 @@ def rho_restricted_fermi_grid(energies, n_parts: int,
                     total -= max(1, min(i, int(shifted)))
                 continue
             # shifted > 0 and i > N: the inner term needs no argument checks.
-            parts = inner.get(shifted)
-            if parts is None:
+            if integral:
+                parts = inner.get(shifted)
+                if parts is None:
+                    root = sqrt(6.0 * shifted)
+                    parts = inner[shifted] = (_bose_s1(shifted), root, -(root / pi - half))
+                bose, root, amplitude = parts
+            else:
                 root = sqrt(6.0 * shifted)
-                parts = inner[shifted] = (_bose_s1(shifted), root, -(root / pi - half))
-            bose, root, amplitude = parts
+                bose, amplitude = _bose_s1(shifted), -(root / pi - half)
             total -= bose * exp(amplitude * exp(slope / root))
         yield total

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from scipy import special
@@ -359,6 +360,26 @@ def test_restricted_fermi_grid_raises_at_the_first_bad_energy(grid, n_parts):
     loop = _run(_fermi_point(E, n_parts) for E in grid)
     assert loop[1] is not None
     assert _run(asymptotic.rho_restricted_fermi_grid(grid, n_parts)) == loop
+
+
+def _grid_peak_bytes(energies, n_parts):
+    tracemalloc.start()
+    try:
+        for _ in asymptotic.rho_restricted_fermi_grid(energies, n_parts):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_restricted_fermi_grid_memory_stays_bounded():
+    # Shifted energies of a non-integer grid seldom recur, so a memo keyed
+    # on them would keep one entry per term: 6,963 here, 1.3 MB at peak.
+    assert _grid_peak_bytes([1.05 + 0.77 * k for k in range(1000)], 20) < 256 * 1024
+    # On an integer grid the memo keeps one entry per integer m, so going
+    # over the same energies again adds nothing.
+    integers = [float(n) for n in range(1, 1001)]
+    assert _grid_peak_bytes(integers * 3, 20) <= _grid_peak_bytes(integers, 20) + 16 * 1024
 
 
 def test_restricted_fermi_grid_of_no_energy_raises_nothing():
