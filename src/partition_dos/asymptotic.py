@@ -187,13 +187,11 @@ def bose_density_s1(E: float) -> float:
     its values differ from rho_unrestricted's in the last bits at almost
     every n, and figure 5 prints them, and because rho_restricted_bose
     calls it one point at a time, where a lone rho_unrestricted call is the
-    slower: 0.9 against 0.37 us at E = 300 (Python 3.11, one core of a
+    slower: 0.8 against 0.18 us at E = 300 (Python 3.11, one core of a
     2-core x86_64 host).
     """
-    return _bose_s1(positive("E", E))
-
-
-def _bose_s1(E: float) -> float:
+    if E.__class__ is not float or not 0.0 < E < math.inf:
+        positive("E", E)
     return math.exp(math.pi * math.sqrt(2.0 * E / 3.0)) / (4.0 * math.sqrt(3.0) * E)
 
 
@@ -222,24 +220,24 @@ def fermi_density_s1(E: float) -> float:
     for rho_unrestricted(make_model(1, FERMI), E), the curve figure 3
     draws.  It is also figure 6's smooth curve: cli.cmd_figure subtracts
     the exact count from it for the diff_unrestricted column, and
-    rho_restricted_fermi_grid (so rho_restricted_fermi) starts from
-    _fermi_s1, the same formula without the argument check.  It stays a
-    separate form because tests/test_asymptotic.py and acceptance
+    rho_restricted_fermi_grid (so rho_restricted_fermi) starts from it.  It
+    stays a separate form because tests/test_asymptotic.py and acceptance
     criterion 8 pin rho_restricted_fermi to exactly this value below
     (N+1)(N+2)/2, and because a lone rho_unrestricted call is the slower,
     as for bose_density_s1.
     """
-    return _fermi_s1(positive("E", E))
-
-
-def _fermi_s1(E: float) -> float:
+    if E.__class__ is not float or not 0.0 < E < math.inf:
+        positive("E", E)
     return math.exp(math.pi * math.sqrt(E / 3.0)) / (4.0 * 3.0**0.25 * E**0.75)
 
 
 def validity_region(n_parts: int) -> tuple[float, float]:
-    """(C(1), C(1) N**2): where the at-most-N-parts correction is trustworthy."""
+    """(C(1), C(1) N**2): the window of figures 5 and 6 and of in_validity,
+    where the Erdos-Lehner factor is meant to apply (rho_restricted_bose
+    says where it is accurate); (C(1), inf) for N past the float range.
+    """
     integer("n_parts", n_parts, 1)
-    return (C1, C1 * n_parts * n_parts)
+    return (C1, C1 * n_parts * n_parts if n_parts < 1e308 else math.inf)
 
 
 def erdos_lehner_factor(E: float, n_parts: int, keep_half_term: bool = True) -> float:
@@ -247,12 +245,13 @@ def erdos_lehner_factor(E: float, n_parts: int, keep_half_term: bool = True) -> 
 
         exp[-(sqrt(6E)/pi - 1/2) * exp(-pi N / sqrt(6E))]
 
-    keep_half_term=False drops the -1/2, which is negligible at large E.
-    rho_restricted_fermi_grid runs the same float operations, with the parts
-    that do not depend on N taken once per energy.
+    keep_half_term=False drops the -1/2, which is negligible at large E, and
+    N >= 1e308 gives 1.0.  rho_restricted_fermi_grid runs the same float
+    operations, with the parts that do not depend on N taken once per energy.
     """
     positive("E", E)
-    integer("n_parts", n_parts, 1)
+    if integer("n_parts", n_parts, 1) >= 1e308:
+        return 1.0
     root = math.sqrt(6.0 * E)
     amplitude = root / math.pi - (0.5 if keep_half_term else 0.0)
     return math.exp(-amplitude * math.exp(-math.pi * n_parts / root))
@@ -260,8 +259,12 @@ def erdos_lehner_factor(E: float, n_parts: int, keep_half_term: bool = True) -> 
 
 def rho_restricted_bose(E: float, n_parts: int, keep_half_term: bool = True) -> float:
     """Smooth at-most-N-parts density for s = 1 (unrestricted curve times
-    the Erdos-Lehner factor).  It is meaningful inside validity_region(N),
-    C(1) < E < C(1) N**2; outside that window the value is still returned.
+    the Erdos-Lehner factor), returned at any E > 0.
+
+    Only the bottom of validity_region(N) is accurate.  Against the exact
+    p_<=N(n) it is within 10% for n = 20..80 (N = 20), 22..167 (N = 30) and
+    24..278 (N = 40), up to 0.11-0.12 C(1) N**2; within 2x up to n = 189,
+    358 and 566; and 339x, 5,980x and 1.05e5x the count at the window's top.
     """
     return bose_density_s1(E) * erdos_lehner_factor(E, n_parts, keep_half_term)
 
@@ -299,33 +302,31 @@ def rho_restricted_fermi_grid(energies, n_parts: int,
     `energies`, in turn.
 
     Each point runs the same float operations in the same order as a lone
-    call, so the values are the same bits; what a grid shares is taken once.
-    i(i+1)/2 and -pi i are kept per i, and the parts of an inner term that
-    do not depend on i, bose_density_s1(m), sqrt(6m) and
-    -(sqrt(6m)/pi - 1/2), once per shifted energy m when E is an integer:
-    on a grid of integers m recurs at almost every point, and the memo
-    holds at most one entry per integer up to the largest E.  Other points
-    compute those parts in place, so a grid of them needs no memory beyond
-    the per-i steps.  Each E is checked just before its value is computed,
-    and n_parts with the first E, so a grid raises where a loop of
-    rho_restricted_fermi calls would: DomainError for an E that is not a
-    finite number > 0 (named before a bad n_parts), or OverflowError from
-    a density past the float range.  An empty grid raises nothing.
+    call, so the values are the same bits; what a grid shares is taken once:
+    i(i+1)/2 and -pi i per i, and for an integer E the parts of an inner
+    term that do not depend on i, bose_density_s1(m), sqrt(6m) and
+    -(sqrt(6m)/pi - 1/2), once per shifted energy m, which recurs at almost
+    every point of an integer grid.  That memo holds at most one entry per
+    integer up to the largest E; other points keep nothing.  Each E is
+    checked just before its value is computed, and n_parts with the first
+    E, so a grid raises where a loop of rho_restricted_fermi calls would:
+    DomainError for an E that is not a finite number > 0 (named before a
+    bad n_parts), or OverflowError from a density past the float range.  An
+    empty grid raises nothing.
     """
     sqrt, exp, pi, inf = math.sqrt, math.exp, math.pi, math.inf
     half = 0.5 if keep_half_term else 0.0
     floor = 2.0 * C1
     steps: list[tuple[int, float, float]] = []  # (i, i(i+1)/2, -pi i) for i > N
-    # Integer m -> the i-free parts.  Only integer E fill it: their m are
-    # integers below the largest E, so it holds at most one entry per
-    # integer, where the shifted energies of other grids seldom recur.
-    inner: dict[float, tuple[float, float, float]] = {}
+    inner: dict[float, tuple[float, float, float]] = {}  # integer m -> i-free parts
     for E in energies:
         if E.__class__ is not float or not 0.0 < E < inf:
             positive("E", E)
         if not steps:
-            top = integer("n_parts", n_parts, 1)  # the last i in steps
-        total = _fermi_s1(E)
+            # The last i in steps.  A cap past 2**53 binds nothing: steps grow
+            # once fermi_density_s1(E) is finite, so E < 2e5 < (N+1)(N+2)/2.
+            top = min(integer("n_parts", n_parts, 1), 2**53)
+        total = fermi_density_s1(E)
         # Cover every i with E - i(i+1)/2 >= 0, and the first i past them.
         while not steps or E - steps[-1][1] >= 0:
             top += 1
@@ -341,15 +342,13 @@ def rho_restricted_fermi_grid(energies, n_parts: int,
                     # p(m) = 1, 1, 2, 3, less 1 + 1 + 1 when i = 2 and m = 3.
                     total -= max(1, min(i, int(shifted)))
                 continue
-            # shifted > 0 and i > N: the inner term needs no argument checks.
-            if integral:
-                parts = inner.get(shifted)
-                if parts is None:
-                    root = sqrt(6.0 * shifted)
-                    parts = inner[shifted] = (_bose_s1(shifted), root, -(root / pi - half))
-                bose, root, amplitude = parts
-            else:
+            # shifted >= 2 C(1) is a float: bose_density_s1 takes its fast path.
+            parts = inner.get(shifted) if integral else None
+            if parts is None:
                 root = sqrt(6.0 * shifted)
-                bose, amplitude = _bose_s1(shifted), -(root / pi - half)
+                parts = (bose_density_s1(shifted), root, -(root / pi - half))
+                if integral:
+                    inner[shifted] = parts
+            bose, root, amplitude = parts
             total -= bose * exp(amplitude * exp(slope / root))
         yield total

@@ -119,9 +119,9 @@ def _energy_grid(args) -> list[float]:
 
 def _validity_grid(n_parts: int) -> range:
     """The n inside validity_region(n_parts); the exact table behind a figure
-    runs to the last of them."""
+    runs to the last of them, so a window past the float range is over its cap."""
     lo, hi = asymptotic.validity_region(n_parts)
-    grid = range(int(math.floor(lo)) + 1, int(math.ceil(hi)))
+    grid = range(math.floor(lo) + 1, math.ceil(hi) if hi < math.inf else table_size("n_max", hi))
     if not grid:
         raise DomainError(
             f"--parts={n_parts!r} leaves no integer n in the validity region ({lo}, {hi})"

@@ -265,6 +265,36 @@ def test_restricted_bose_value_and_flag():
     assert hi == pytest.approx(C1 * 400, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_parts", [2**53, 2**53 + 1, 10**200, 10**400],
+                         ids=["2^53", "2^53+1", "1e200", "1e400"])
+def test_a_cap_that_binds_nothing_gives_the_uncapped_density(n_parts):
+    # Part caps past a float's range (or past 2**53, where no staircase
+    # step fits below a finite fermi density) return the s = 1 curves.
+    energies = [5.0, 300.0, 1.5e5]
+    assert pd.erdos_lehner_factor(5.0, n_parts) == 1.0
+    assert pd.rho_restricted_bose(300.0, n_parts) == pd.bose_density_s1(300.0)
+    assert [pd.rho_restricted_fermi(E, n_parts) for E in energies] == list(
+        map(pd.fermi_density_s1, energies))
+    assert list(asymptotic.rho_restricted_fermi_grid(energies, n_parts, False)) == list(
+        map(pd.fermi_density_s1, energies))
+    lo, hi = pd.validity_region(n_parts)
+    assert lo == C1 and (hi == math.inf) == (n_parts > 10**154)
+
+
+@pytest.mark.parametrize("n_parts", [20, 30, 40])
+def test_restricted_bose_is_accurate_only_low_in_its_window(n_parts):
+    # validity_region(N) is the window the figures draw, not where the
+    # Erdos-Lehner curve holds: within 10% of p_<=N(n) up to about
+    # 0.11 C(1) N**2, and over 100x the exact count at the window's top
+    # (339x, 5,980x and 1.05e5x for N = 20, 30, 40).
+    lo, hi = pd.validity_region(n_parts)
+    top = math.ceil(hi) - 1
+    exact = pd.conjugate_restricted_table(n_parts, top)
+    for n in range(24, math.floor(0.1 * hi) + 1):
+        assert abs(pd.rho_restricted_bose(float(n), n_parts) / exact[n] - 1) <= 0.10, n
+    assert pd.rho_restricted_bose(float(top), n_parts) / exact[top] > 100
+
+
 def test_restricted_fermi_empty_sum():
     # No staircase offset fits below E: restricted curve equals unrestricted.
     assert pd.rho_restricted_fermi(300.0, 30) == pd.fermi_density_s1(300.0)

@@ -311,6 +311,30 @@ def test_resource_cap_exit_code(capsys, monkeypatch):
     assert run(capsys, ["audit", "--degree", "51"])[0] == 3
 
 
+@pytest.mark.parametrize("fid", ["5", "6"])
+@pytest.mark.parametrize("n_parts", [10**200, 10**400], ids=["1e200", "1e400"])
+def test_figure_with_a_huge_part_cap_is_over_the_table_cap(capsys, fid, n_parts):
+    # Past N ~ 1.05e154, C(1) N**2 is past the float range: over any cap.
+    assert cli.main(["figure", fid, "--parts", str(n_parts)]) == cli.EXIT_RESOURCE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("resource limit: n_max=inf exceeds the cap ")
+
+
+@pytest.mark.parametrize(
+    "stats, n_parts",
+    [("fermi", 10**200), ("fermi", 10**400), ("bose", 10**200), ("bose", 10**400)],
+    ids=["fermi-1e200", "fermi-1e400", "bose-1e200", "bose-1e400"],
+)
+def test_asym_with_a_huge_part_cap_gives_the_uncapped_density(capsys, stats, n_parts):
+    # A cap that binds no term leaves the unrestricted s = 1 curve.
+    code, out = run(capsys, ["asym", "--statistics", stats, "--parts", str(n_parts),
+                             "--energies", "5,300"])
+    assert code == 0
+    free = pd.fermi_density_s1 if stats == "fermi" else pd.bose_density_s1
+    cells = [line.split(",") for line in out.splitlines()[2:]]
+    assert [float(row[1]) for row in cells] == [free(5.0), free(300.0)]
+
+
 @pytest.mark.parametrize(
     "degree, code, err",
     [
