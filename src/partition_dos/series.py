@@ -10,12 +10,23 @@ under the truncation, and every omitted factor contributes 1 there.
 Coefficients are signed (intermediate factors like 1 - x^k need the sign)
 even though all final counts are nonnegative.
 
-One builder, _product, forms every product over the part values m**s that
-counting.SpectrumSpec lists, and identities() builds each product once.
-The product uses the exact tables' shifted-row add, counting._add_row: one
-row add per nonzero coefficient of its sparser operand.  A product never
-reads its partial result, only its two operands, so it stays a convolution
-and an independent oracle for the in-place _add_parts sweep.
+Every product here is a chain of two-term factors 1 +/- x^k.  fermi_gf
+takes one factor 1 + x^v per part value v; bose_gf and the staircase
+products of distinct_restricted_gf take each 1/(1 - x^v) as the factors
+1 + x^(v 2^j) with v 2^j <= degree, since 1/(1 - y) is the product over j
+of 1 + y^(2^j); the prod (1 - x^(2v)) side of euler_factorization_s* takes
+the factors 1 - x^(2v).  One kernel, _chain, makes each step: it copies the
+previous operand and adds that operand, shifted by k, into the copy with
+the exact tables' shifted-row add, counting._add_row.  _product runs it over
+the part values m**s that counting.SpectrumSpec lists, and identities()
+builds each product once.  A step reads only its operand, never its partial
+result, so the products stay independent of the in-place _add_parts sweep
+and of the pentagonal recurrence they are checked against.
+
+IntSeries.__mul__ is the general convolution, kept for the last step of
+euler_factorization_s* and as the oracle the chains are tested against,
+with the dense factors geometric_factor, one_plus_power and
+one_minus_power.
 """
 
 from __future__ import annotations
@@ -67,23 +78,25 @@ class IntSeries:
     def __mul__(self, other: "IntSeries") -> "IntSeries":
         """The product truncated at the smaller degree.
 
-        A convolution: each nonzero a_i of the sparser operand adds the other
-        operand, times a_i and shifted by i, into the result with one
+        The general convolution: the audit calls it only for the last step
+        of euler_factorization_s*, the bose product times the
+        prod (1 - x^(2v)) chain, and the tests use it, with the dense
+        factors, as the oracle for the two-term chains of _product.
+        Each nonzero a_i of the sparser operand adds the other operand,
+        times a_i and shifted by i, into the result with one
         counting._add_row.  The first such row seeds the result instead of
         being added into zeros, itertools.compress finds the nonzero a_i
         and map scales a row, so the zeros of a are skipped in C.  Every row
-        comes from the two operands, never from the partial result, so the
-        products stay independent of the in-place _add_parts recurrence they
-        are checked against in gf_vs_dp_bose_s2: the convolution oracle for
-        the knapsack sweep.
+        comes from the two operands, never from the partial result.
         """
         if not isinstance(other, IntSeries):
             return NotImplemented
         d = min(self.degree, other.degree)
         a, b = self._coeffs[: d + 1], other._coeffs[: d + 1]
-        # Iterate the sparser operand on the outside; the factors built here
-        # (geometric tails, 1 +/- x^k) are mostly zeros and their nonzero
-        # coefficients are +/-1, so most rows need no scaling.
+        # Iterate the sparser operand on the outside.  The dense factors
+        # (geometric tails, 1 +/- x^k) and prod (1 - x^(2v)), Euler's
+        # pentagonal series in x^2 for s = 1, are mostly zeros and their
+        # nonzero coefficients mostly +/-1, so most rows need no scaling.
         if a.count(0) < b.count(0):
             a, b = b, a
         nonzero = compress(range(d + 1), a)
@@ -146,32 +159,55 @@ def one_minus_power(k: int, degree: int) -> IntSeries:
     return _unchecked(coeffs)
 
 
-def _product(factor, s: int, degree: int, top: int | None = None) -> IntSeries:
-    """Product of factor(v, degree) over the part values v <= top (degree
-    unless given) of counting.SpectrumSpec(s): the one product loop."""
+def _doublings(v: int, degree: int):
+    """v, 2v, 4v, ... up to degree: 1/(1 - x^v) is the product over j of
+    the two-term factors 1 + x^(v 2^j), and those past the degree are 1."""
+    while v <= degree:
+        yield v
+        v *= 2
+
+
+def _chain(coeffs: list[int], exponents, sign: int = 1) -> list[int]:
+    """coeffs times 1 + sign * x^k for each k in exponents, every k at most
+    the degree len(coeffs) - 1.
+
+    Each step copies the previous operand and adds that operand, shifted by
+    k (negated when sign is -1), into the copy with one counting._add_row,
+    so no row is ever read from the partial result it is added into."""
+    for k in exponents:
+        prev = coeffs
+        coeffs = prev[:]
+        _add_row(coeffs, prev if sign == 1 else map(operator.neg, prev), k)
+    return coeffs
+
+
+def _product(s: int, degree: int, exponents, sign: int = 1) -> IntSeries:
+    """Product of the factors 1 + sign * x^k over k in exponents(v, degree),
+    for each part value v <= degree of counting.SpectrumSpec(s): the one
+    product loop.  s is checked first, then degree, then the part values
+    are listed."""
     spec = counting.SpectrumSpec(s)
-    out = IntSeries([1], series_degree(degree))
-    for v in spec.part_values(degree if top is None else top):
-        out = out * factor(v, degree)
-    return out
+    coeffs = [1] + [0] * series_degree(degree)
+    for v in spec.part_values(degree):
+        coeffs = _chain(coeffs, exponents(v, degree), sign)
+    return _unchecked(coeffs)
 
 
 def bose_gf(s: int, degree: int) -> IntSeries:
     """Product of 1/(1 - x^(m**s)); coefficient of x^n counts multisets.
 
-    Each factor is one geometric_factor.  Split into the two-term factors
-    1 + x^(v 2^j), as distinct_restricted_gf splits it, the s = 1 product
-    took 1.6 -> 1.9 ms at degree 100 and 6.2 -> 6.3 ms at 200, and
-    50 -> 44 ms at 560 (Python 3.11, one core of a 2-core x86_64 host):
-    slower below degree ~250 and faster above it, so neither form wins at
-    every degree and no second path chosen by degree was added.
+    Each 1/(1 - x^v) is taken as the two-term factors 1 + x^(v 2^j) with
+    v 2^j <= degree, since 1/(1 - y) is the product over j of 1 + y^(2^j).
+    A step is one row add, so the product costs about degree^2 element
+    adds, where multiplying by the geometric rows 1 + x^v + x^2v + ... cost
+    about degree^2 ln(degree) / 2.
     """
-    return _product(geometric_factor, s, degree)
+    return _product(s, degree, _doublings)
 
 
 def fermi_gf(s: int, degree: int) -> IntSeries:
     """Product of (1 + x^(m**s)); coefficient of x^n counts distinct partitions."""
-    return _product(one_plus_power, s, degree)
+    return _product(s, degree, lambda v, d: (v,))
 
 
 def distinct_restricted_gf(n_parts: int, degree: int) -> IntSeries:
@@ -184,27 +220,20 @@ def distinct_restricted_gf(n_parts: int, degree: int) -> IntSeries:
     it is the oracle for the full product fermi_gf(1, degree) in the audit
     identity staircase_series.
 
-    Each 1/(1 - x^i) is taken as the two-term factors 1 + x^(i 2^j) with
-    i 2^j <= degree, since 1/(1 - y) = product over j of (1 + y^(2^j)).  A
-    product by one of them is two row adds where geometric_factor(i) costs
-    degree / i, and every step is still IntSeries.__mul__ of two operands,
-    so the series stays a convolution.  That took (n_parts, degree) =
-    (561, 560) from 21 to 9.6 ms, and (30, 400) from 10 to 5.2 ms (same
-    host as above).  bose_gf keeps its geometric factors; its docstring
-    says why.
+    The running product takes each 1/(1 - x^i) as the two-term factors
+    1 + x^(i 2^j) with i 2^j <= degree, as bose_gf does, and each staircase
+    term is one row add of it into the sum.  n_parts is checked before
+    degree.
     """
     integer("n_parts", n_parts, 1)
-    prod = IntSeries([1], series_degree(degree))
-    out = [1] + [0] * degree
+    prod = [1] + [0] * series_degree(degree)
+    out = prod[:]
     for i in range(1, n_parts + 1):
         tri = i * (i + 1) // 2
         if tri > degree:
             break
-        k = i
-        while k <= degree:
-            prod = prod * one_plus_power(k, degree)
-            k *= 2
-        _add_row(out, prod.coeffs, tri)
+        prod = _chain(prod, _doublings(i, degree))
+        _add_row(out, prod, tri)
     return _unchecked(out)
 
 
@@ -289,5 +318,5 @@ def identities(degree: int):
     # values v; 1 - x^(2v) is 1 to x^degree once 2v > degree.
     for s in (1, 2):
         rhs = products[s, False] * _product(
-            lambda v, d: one_minus_power(2 * v, d), s, degree, degree // 2)
+            s, degree, lambda v, d: (2 * v,) if 2 * v <= d else (), -1)
         yield f"euler_factorization_s{s}", products[s, True].coeffs, rhs.coeffs

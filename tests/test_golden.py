@@ -62,6 +62,10 @@ ARGVS = [
     "asym --s 1 --parts 20 --statistics fermi --drop-half-term --min 1 --max 700",
     "exact --distinct --parts 12 --max 3000",
     "audit --degree 560",
+    "audit --degree 0",
+    "audit --degree 1",
+    "audit --degree 256",
+    "audit --degree 400 --inject-fault",
 ]
 
 

@@ -49,6 +49,16 @@ def test_mul_ten_random_series_association_orders():
     assert left == right
 
 
+def _schoolbook(a, b):
+    """The truncated product as a double loop over both operands."""
+    d = min(len(a), len(b)) - 1
+    out = [0] * (d + 1)
+    for i in range(d + 1):
+        for j in range(d + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
 @settings(max_examples=150, deadline=None)
 @given(a=sparse_coeffs, b=sparse_coeffs)
 @example(a=[0, 0, 0, 0, 0], b=[1, 2, 0, 0, 3, 0, 0, 0, 4])
@@ -76,9 +86,26 @@ def test_mul_ten_random_series_association_orders():
 @example(a=[0, 0, 0], b=[1, 2, 3, 4])
 @example(a=[0], b=[0])
 def test_mul_matches_plain_convolution(a, b):
-    d = min(len(a), len(b)) - 1
-    want = tuple(sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(d + 1))
-    assert (pd.IntSeries(a) * pd.IntSeries(b)).coeffs == want
+    assert (pd.IntSeries(a) * pd.IntSeries(b)).coeffs == _schoolbook(a, b)
+
+
+def test_mul_is_the_schoolbook_product_on_random_signed_series():
+    """IntSeries.__mul__ is the general convolution oracle that the
+    two-term chains are tested against: pin it on random signed operands,
+    dense and sparse, of unequal degrees, and on zero operands."""
+    rng = random.Random(0)
+
+    def draw(degree, zeros):
+        return [0 if rng.random() < zeros else rng.randint(-(2**70), 2**70)
+                for _ in range(degree + 1)]
+
+    cases = [(draw(rng.randint(0, 40), rng.choice((0.0, 0.5, 0.9))),
+              draw(rng.randint(0, 40), rng.choice((0.0, 0.5, 0.9)))) for _ in range(60)]
+    cases += [([0] * 7, draw(12, 0.0)), (draw(3, 0.0), [0]), ([0], [0]), ([0] * 30, [0] * 9)]
+    for a, b in cases:
+        want = _schoolbook(a, b)
+        assert (pd.IntSeries(a) * pd.IntSeries(b)).coeffs == want
+        assert (pd.IntSeries(b) * pd.IntSeries(a)).coeffs == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -154,13 +181,18 @@ def test_product_rows_come_from_the_operands(monkeypatch):
         return counting._add_row(dst, src, shift)
 
     tables = {d: pd.build_table(pd.SpectrumSpec(1, d), 60).counts for d in (False, True)}
+    staircase = pd.distinct_restricted_table(5, 60)
     monkeypatch.setattr(series, "_add_row", spy)
     assert pd.bose_gf(1, 60).coeffs == tables[False]
     assert pd.fermi_gf(1, 60).coeffs == tables[True]
     euler = pd.bose_gf(1, 60) * series._product(
-        lambda v, d: pd.one_minus_power(2 * v, d), 1, 60, 30)
+        1, 60, lambda v, d: (2 * v,) if 2 * v <= d else (), -1)
     assert euler.coeffs == tables[True]
     assert calls
+    calls.clear()
+    assert list(pd.distinct_restricted_gf(5, 60).coeffs) == staircase
+    # The two-term factors of i = 1..5 and one staircase term per i.
+    assert len(calls) == sum(len(list(series._doublings(i, 60))) + 1 for i in range(1, 6))
 
 
 def test_gf_coefficients_match_tables():
@@ -170,12 +202,51 @@ def test_gf_coefficients_match_tables():
         assert gf.coeffs == table
 
 
+def _dense_chain(factor, values, degree):
+    """The product of factor(v, degree) over values as IntSeries.__mul__ of
+    dense factors: the route the two-term chains replaced, kept as their
+    oracle."""
+    out = pd.IntSeries([1], degree)
+    for v in values:
+        out = out * factor(v, degree)
+    return out
+
+
+def _dense_routes(s, degree):
+    """bose_gf, fermi_gf and the prod (1 - x^(2v)) side of
+    euler_factorization_s* as dense-factor products."""
+    values = pd.SpectrumSpec(s).part_values(degree)
+    return (_dense_chain(pd.geometric_factor, values, degree),
+            _dense_chain(series.one_plus_power, values, degree),
+            _dense_chain(lambda v, d: pd.one_minus_power(2 * v, d),
+                         [v for v in values if 2 * v <= degree], degree))
+
+
+def _chain_routes(s, degree):
+    return (pd.bose_gf(s, degree), pd.fermi_gf(s, degree),
+            series._product(s, degree, lambda v, d: (2 * v,) if 2 * v <= d else (), -1))
+
+
+# 2, 4, 8, 64 and 256 are powers of two, where the last doubling of v = 1
+# (and of every power-of-two v) lands on the degree itself.
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 7, 8, 64, 100, 256, 300])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_two_term_chains_equal_the_dense_factor_products(s, degree):
+    for got, want in zip(_chain_routes(s, degree), _dense_routes(s, degree)):
+        assert got == want
+        assert got.degree == degree
+        assert all(type(c) is int for c in got.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.integers(1, 4), degree=st.integers(0, 400))
+def test_two_term_chains_equal_the_dense_factor_products_property(s, degree):
+    assert _chain_routes(s, degree) == _dense_routes(s, degree)
+
+
 def _finite_product(n_parts, degree):
     """prod_{v <= n_parts} 1/(1 - x^v): parts of size at most n_parts."""
-    out = pd.IntSeries([1], degree)
-    for v in range(1, n_parts + 1):
-        out = out * pd.geometric_factor(v, degree)
-    return out
+    return _dense_chain(pd.geometric_factor, range(1, n_parts + 1), degree)
 
 
 def _staircase_series_geometric(n_parts, degree):
@@ -315,6 +386,12 @@ def test_coefficient_bounds():
         s.coefficient(-1)
 
 
+BUILDERS = {"bose_gf": pd.bose_gf, "fermi_gf": pd.fermi_gf,
+            "distinct_restricted_gf": pd.distinct_restricted_gf}
+# The first argument of each builder: s, or distinct_restricted_gf's n_parts.
+FIRST = {"bose_gf": "s", "fermi_gf": "s", "distinct_restricted_gf": "n_parts"}
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -330,6 +407,29 @@ def test_coefficient_bounds():
 def test_series_domain_errors(bad):
     with pytest.raises(DomainError):
         bad()
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+@pytest.mark.parametrize(
+    "first, degree, error, message",
+    [
+        # s (or n_parts) is checked first, then the degree, and only then
+        # are the part values listed: a float degree is a DomainError, not
+        # the AttributeError of float.bit_length.
+        (1, 2.5, DomainError, r"^degree=2\.5 is not an integer >= 0$"),
+        (1, True, DomainError, r"^degree=True is not an integer >= 0$"),
+        (1, -1, DomainError, r"^degree=-1 is not an integer >= 0$"),
+        (1, 101, ResourceLimitError, r"^degree=101 exceeds the cap 100 \(override with "),
+        (True, 5, DomainError, r"^{first}=True is not an integer >= 1$"),
+        # Both bad: the first argument is named.
+        (True, 2.5, DomainError, r"^{first}=True is not an integer >= 1$"),
+    ],
+)
+def test_series_domain_errors_in_argument_order(monkeypatch, name, first, degree, error,
+                                                message):
+    monkeypatch.setenv("PARTITION_DOS_MAX_DEGREE", "100")
+    with pytest.raises(error, match=message.replace("{first}", FIRST[name])):
+        BUILDERS[name](first, degree)
 
 
 def test_series_degree_cap(monkeypatch):
