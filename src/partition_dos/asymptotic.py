@@ -12,9 +12,9 @@ This module provides the real-line special functions, the general smooth
 densities for both statistics, the classical s = 1 and s = 2 printed forms,
 the exponentially small at-most-N-parts correction (Erdos-Lehner), and its
 distinct-partition analogue built from a staircase-shifted subtraction
-series.  The general density and the distinct analogue each have one
-implementation, a generator over a grid of energies
-(rho_unrestricted_grid, rho_restricted_fermi_grid) that takes what the
+series.  The general density and the two at-most-N curves each have one
+implementation, a generator over a grid of energies (rho_unrestricted_grid,
+rho_restricted_bose_grid, rho_restricted_fermi_grid) that takes what the
 points share once; the one-energy functions are its one-point calls, so a
 grid yields the same bits as a loop of them and raises where that loop
 would.
@@ -183,12 +183,13 @@ def bose_density_s1(E: float) -> float:
     for rho_unrestricted(make_model(1, BOSE), E), the curve figure 1
     draws.  It is also figure 5's smooth curve: cli.cmd_figure subtracts
     the exact count from it for the diff_unrestricted column, and
-    rho_restricted_bose builds on it.  It stays a separate form because
-    its values differ from rho_unrestricted's in the last bits at almost
-    every n, and figure 5 prints them, and because rho_restricted_bose
-    calls it one point at a time, where a lone rho_unrestricted call is the
-    slower: 0.8 against 0.18 us at E = 300 (Python 3.11, one core of a
-    2-core x86_64 host).
+    rho_restricted_bose_grid (so rho_restricted_bose) builds on it.  It
+    stays a separate form because its values differ from
+    rho_unrestricted's in the last bits at almost every n, and figure 5
+    prints them, and because rho_restricted_bose_grid calls it one point
+    at a time, where a lone rho_unrestricted call is the slower: 0.8
+    against 0.18 us at E = 300 (Python 3.11, one core of a 2-core x86_64
+    host).
     """
     if E.__class__ is not float or not 0.0 < E < math.inf:
         positive("E", E)
@@ -246,8 +247,9 @@ def erdos_lehner_factor(E: float, n_parts: int, keep_half_term: bool = True) -> 
         exp[-(sqrt(6E)/pi - 1/2) * exp(-pi N / sqrt(6E))]
 
     keep_half_term=False drops the -1/2, which is negligible at large E, and
-    N >= 1e308 gives 1.0.  rho_restricted_fermi_grid runs the same float
-    operations, with the parts that do not depend on N taken once per energy.
+    N >= 1e308 gives 1.0.  rho_restricted_bose_grid runs the same float
+    operations with -pi N taken once per grid, and rho_restricted_fermi_grid
+    with the parts that do not depend on N taken once per energy.
     """
     positive("E", E)
     if integer("n_parts", n_parts, 1) >= 1e308:
@@ -265,8 +267,36 @@ def rho_restricted_bose(E: float, n_parts: int, keep_half_term: bool = True) -> 
     p_<=N(n) it is within 10% for n = 20..80 (N = 20), 22..167 (N = 30) and
     24..278 (N = 40), up to 0.11-0.12 C(1) N**2; within 2x up to n = 189,
     358 and 566; and 339x, 5,980x and 1.05e5x the count at the window's top.
+
+    The one-point call of :func:`rho_restricted_bose_grid`.
     """
-    return bose_density_s1(E) * erdos_lehner_factor(E, n_parts, keep_half_term)
+    return next(rho_restricted_bose_grid((E,), n_parts, keep_half_term))
+
+
+def rho_restricted_bose_grid(energies, n_parts: int,
+                             keep_half_term: bool = True) -> Iterator[float]:
+    """Yield bose_density_s1(E) * erdos_lehner_factor(E, n_parts,
+    keep_half_term) for each E of `energies`, in turn.
+
+    Each point runs the same float operations in the same order as those
+    two calls, so the values are the same bits; -pi N is taken once per
+    grid.  n_parts is checked once, after the first E's density, so a grid
+    raises where a loop of rho_restricted_bose calls would: DomainError for
+    an E that is not a finite number > 0, OverflowError from a density past
+    the float range (both before a bad n_parts), then DomainError for a bad
+    n_parts.  An empty grid raises nothing.
+    """
+    sqrt, exp, pi = math.sqrt, math.exp, math.pi
+    half = 0.5 if keep_half_term else 0.0
+    slope = None  # -pi N, set at the first E
+    for E in energies:
+        density = bose_density_s1(E)
+        if slope is None:
+            # A cap from 1e308 on binds nothing.  Its slope -inf makes the
+            # factor exp(-0.0) = 1.0, which erdos_lehner_factor returns.
+            slope = -pi * n_parts if integer("n_parts", n_parts, 1) < 1e308 else -math.inf
+        root = sqrt(6.0 * E)
+        yield density * exp(-(root / pi - half) * exp(slope / root))
 
 
 def rho_restricted_fermi(E: float, n_parts: int, keep_half_term: bool = True) -> float:

@@ -161,8 +161,8 @@ def cmd_asym(args) -> int:
         keep = not args.drop_half_term
         if stats == asymptotic.BOSE:
             lo, hi = asymptotic.validity_region(args.parts)
-            rows = [(e, asymptotic.rho_restricted_bose(e, args.parts, keep), int(lo < e < hi))
-                    for e in grid]
+            rows = [(e, smooth, int(lo < e < hi)) for e, smooth in
+                    zip(grid, asymptotic.rho_restricted_bose_grid(grid, args.parts, keep))]
             columns = ["E", "density", "in_validity"]
         else:
             rows = list(zip(grid, asymptotic.rho_restricted_fermi_grid(grid, args.parts, keep)))
@@ -296,12 +296,12 @@ def cmd_figure(args) -> int:
     table = counting.build_table(counting.SpectrumSpec(1, fid == 6, n_parts), top).counts
     if fid == 5:
         free = asymptotic.bose_density_s1
-        capped = (asymptotic.rho_restricted_bose(float(n), n_parts) for n in grid)
+        capped = asymptotic.rho_restricted_bose_grid(map(float, grid), n_parts)
     else:
         free = asymptotic.fermi_density_s1
         capped = asymptotic.rho_restricted_fermi_grid(map(float, grid), n_parts)
-    rows = [(n, free(float(n)) - float(table[n]), smooth - float(table[n]))
-            for n, smooth in zip(grid, capped)]
+    rows = [(n, free(float(n)) - exact, smooth - exact)
+            for n, smooth, exact in zip(grid, capped, map(float, table[grid.start :]))]
     meta = _meta("figure", id=fid, parts=n_parts, min=grid.start, max=top)
     write_dataset(meta, ["n", "diff_unrestricted", "diff_restricted"], rows, args)
     return EXIT_OK

@@ -22,8 +22,11 @@ so this module needs nothing from the float asymptotics.  The row steps
 run no Python bytecode per table element: they are slices of
 itertools.accumulate and map(add), in C.  The pentagonal recurrence takes
 one Python step per n, whose sums gather their terms in C with
-operator.itemgetter.  The packed product takes one shift-add per part
-value, and one Python step per lane to join a lane wider than 64 bits.
+operator.itemgetter.  The packed product holds count j in lane n_max - j,
+so it takes one right shift and one add per part value, with no mask, and
+one Python step per lane to join a lane wider than 64 bits.  The series
+products in series are packed the same way, but by their own kernel and
+width proof, since they are the check on these tables.
 """
 
 from __future__ import annotations
@@ -174,24 +177,27 @@ def _packed_distinct(s: int, values: list[int], n_max: int) -> list[int]:
     """Counts of n = 0..n_max as sums of distinct members of `values`, the
     part values m**s, through one packed integer (Kronecker substitution).
 
-    Count j lives in bits [j*width, (j+1)*width) of `packed`, with width
-    the bound of :func:`_lane_bits` rounded up to whole 64-bit words, so no
-    lane ever carries into the next.  Multiplying by (1 + x**v) is then
-    one shift, one add and one mask, all in C, and the lanes are unpacked
-    once at the end through a machine-word array.
+    Count j lives in lane n_max - j, bits [(n_max - j)*width,
+    (n_max - j + 1)*width) of `packed`, with width the bound of
+    :func:`_lane_bits` rounded up to whole 64-bit words, so no lane ever
+    carries into the next.  Multiplying by (1 + x**v) is then one right
+    shift by v lanes and one add, both in C: the lanes past x**n_max fall
+    off the bottom, so the integer never grows and needs no mask.  The
+    lanes are unpacked once at the end through a machine-word array, in
+    reverse order.
     """
     width = -(-_lane_bits(s, values, n_max) // 64) * 64
-    mask = (1 << width * (n_max + 1)) - 1
-    packed = 1
+    packed = 1 << n_max * width
     for v in values:
-        packed = (packed + (packed << v * width)) & mask
+        packed += packed >> v * width
     words = array("Q", packed.to_bytes(width // 8 * (n_max + 1), "little"))
     if sys.byteorder == "big":
         words.byteswap()
     step = width // 64  # words per lane, least significant first
-    lanes = list(words[step - 1 :: step])
+    lanes = words[step - 1 :: step].tolist()
     for i in range(step - 2, -1, -1):
         lanes = [hi << 64 | lo for hi, lo in zip(lanes, words[i::step])]
+    lanes.reverse()
     return lanes
 
 

@@ -15,23 +15,37 @@ takes one factor 1 + x^v per part value v; bose_gf and the staircase
 products of distinct_restricted_gf take each 1/(1 - x^v) as the factors
 1 + x^(v 2^j) with v 2^j <= degree, since 1/(1 - y) is the product over j
 of 1 + y^(2^j); the prod (1 - x^(2v)) side of euler_factorization_s* takes
-the factors 1 - x^(2v).  One kernel, _chain, makes each step: it copies the
-previous operand and adds that operand, shifted by k, into the copy with
-the exact tables' shifted-row add, counting._add_row.  _product runs it over
-the part values m**s that counting.SpectrumSpec lists, and identities()
-builds each product once.  A step reads only its operand, never its partial
-result, so the products stay independent of the in-place _add_parts sweep
-and of the pentagonal recurrence they are checked against.
+the factors 1 - x^(2v).  The running product is one Python int (Kronecker
+substitution) whose lanes run high to low: coefficient j lives in lane
+degree - j, _lane_width bits wide, and the product starts as
+1 << degree * width.  Multiplying by 1 + x^k is then packed +=
+packed >> k * width, one shift and one add in C: the lanes pushed past
+x^degree fall off the bottom, so there is no mask and the int never grows.
+A factor 1 - x^k subtracts the shifted product instead, on signed lanes
+built to one guard lane past x^degree (see _shift_adds).  A staircase term
+adds the running product, shifted, into a packed sum the same way.
+_shift_adds is the one kernel, _product runs it over the part values m**s
+that counting.SpectrumSpec lists, _unpack reads the lanes once at the end,
+and identities() builds each product once.
+
+This kernel, its width and its unpacking are this module's own: they call
+nothing of counting's packed product _packed_distinct, its width
+_lane_bits or the row steps _add_parts and _add_row, so gf_vs_dp_fermi_s2
+still pairs two codes with two width proofs, and each product step reads
+only its operand, never a table.
 
 IntSeries.__mul__ is the general convolution, kept for the last step of
-euler_factorization_s* and as the oracle the chains are tested against,
-with the dense factors geometric_factor, one_plus_power and
-one_minus_power.
+euler_factorization_s* and as the oracle the packed products are tested
+against, with the dense factors geometric_factor, one_plus_power and
+one_minus_power.  It adds each row with counting._add_row.
 """
 
 from __future__ import annotations
 
+import math
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import compress, repeat
 
@@ -81,7 +95,7 @@ class IntSeries:
         The general convolution: the audit calls it only for the last step
         of euler_factorization_s*, the bose product times the
         prod (1 - x^(2v)) chain, and the tests use it, with the dense
-        factors, as the oracle for the two-term chains of _product.
+        factors, as the oracle for the packed chains of _product.
         Each nonzero a_i of the sparser operand adds the other operand,
         times a_i and shifted by i, into the result with one
         counting._add_row.  The first such row seeds the result instead of
@@ -167,30 +181,94 @@ def _doublings(v: int, degree: int):
         v *= 2
 
 
-def _chain(coeffs: list[int], exponents, sign: int = 1) -> list[int]:
-    """coeffs times 1 + sign * x^k for each k in exponents, every k at most
-    the degree len(coeffs) - 1.
+def _lane_width(degree: int) -> int:
+    """Bits per lane that hold every coefficient of every packed product
+    and partial sum here to x^degree: a multiple of 64.
 
-    Each step copies the previous operand and adds that operand, shifted by
-    k (negated when sign is -1), into the copy with one counting._add_row,
-    so no row is ever read from the partial result it is added into."""
-    for k in exponents:
-        prev = coeffs
-        coeffs = prev[:]
-        _add_row(coeffs, prev if sign == 1 else map(operator.neg, prev), k)
-    return coeffs
+    A proof, not a guess.  For any beta > 0 and n <= degree,
+    p(n) <= e^(beta n) prod over v of 1/(1 - e^(-beta v)), and the log of
+    that product is sum over k of 1/(k (e^(beta k) - 1)) < pi^2/(6 beta).
+    At beta = pi/sqrt(6 degree) this gives p(n) < exp(pi sqrt(2 degree/3)),
+    which is 2^sqrt(K degree) with K = 2 pi^2/(3 ln(2)^2) = 13.695...  Since
+    (isqrt(m) + 1)^2 > m >= 13.7 degree - 1 for m = floor(13.7 degree),
+    isqrt(m) + 1 bits hold p(n), with no float in the bound.
+    Every coefficient of every partial product is at most that p(n), in
+    absolute value: a product of factors 1 + x^k over part values m^s
+    counts some of the partitions of n, so it is at most p^s(n) <= p(n);
+    the staircase partial sums count distinct partitions, at most
+    d(n) <= p(n); and each coefficient of a product of factors 1 - x^k is
+    at most that of the same factors 1 + x^k, in absolute value.
+    Two spare bits keep |c| < 2^(width - 2), which the signed lanes of
+    _shift_adds need: see there.
+    """
+    bits = math.isqrt(137 * degree // 10) + 1 + 2
+    return -(-bits // 64) * 64
+
+
+def _shift_adds(packed: int, width: int, exponents, sign: int = 1) -> int:
+    """packed times 1 + sign * x^k for each k in exponents, every k >= 1.
+
+    packed holds coefficient j in lane top - j, width bits per lane, so
+    x^k times it is packed >> k * width: lanes move down, and those past
+    x^top fall off the bottom, with no mask.  Each step reads only its
+    operand, the product before that factor.
+
+    With sign -1 the lanes are signed: packed is the sum of c_i 2^(i width)
+    over lanes i, each digit |c_i| < 2^(width - 1).  The lanes that a shift
+    drops then sum to less than 2^(k width - 1) in absolute value, so the
+    floored shift is exactly the lanes it keeps, or that minus 1, and
+    subtracting it leaves every lane exact but lane 0, x^top, which may
+    gain 1.  A signed product is therefore built to one guard lane past its
+    degree and that lane is never read.  _lane_width(top) keeps every
+    coefficient below 2^(width - 2) in absolute value, and the guard lane's
+    error, at most one per factor, below 2^(width - 2) too, so every lane
+    stays a digit.
+    """
+    if sign == 1:
+        for k in exponents:
+            packed += packed >> k * width
+    else:
+        for k in exponents:
+            packed -= packed >> k * width
+    return packed
+
+
+def _unpack(packed: int, degree: int, width: int, signed: bool = False) -> IntSeries:
+    """The IntSeries of a packed product to x^degree: its lanes, read once
+    through machine words, in reverse order.  A signed product's lanes are
+    read through a bias of 2^(width - 1) each, and its guard lane is
+    dropped."""
+    lane_bytes = width // 8
+    if signed:
+        half = 1 << width - 1
+        packed += int.from_bytes(half.to_bytes(lane_bytes, "little") * (degree + 2), "little")
+        packed >>= width
+    words = array("Q", packed.to_bytes(lane_bytes * (degree + 1), "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    step = width // 64  # words per lane, least significant first
+    lanes = words[step - 1 :: step].tolist()
+    for i in range(step - 2, -1, -1):
+        lanes = [hi << 64 | lo for hi, lo in zip(lanes, words[i::step])]
+    lanes.reverse()
+    if signed:
+        lanes = map(operator.sub, lanes, repeat(half))
+    return _unchecked(lanes)
 
 
 def _product(s: int, degree: int, exponents, sign: int = 1) -> IntSeries:
     """Product of the factors 1 + sign * x^k over k in exponents(v, degree),
     for each part value v <= degree of counting.SpectrumSpec(s): the one
-    product loop.  s is checked first, then degree, then the part values
-    are listed."""
+    product loop, packed with lanes high to low, and with a guard lane
+    when sign is -1.  s is checked first, then degree, then the part
+    values are listed."""
     spec = counting.SpectrumSpec(s)
-    coeffs = [1] + [0] * series_degree(degree)
+    top = series_degree(degree) + (sign < 0)
+    width = _lane_width(top)
+    packed = 1 << top * width
     for v in spec.part_values(degree):
-        coeffs = _chain(coeffs, exponents(v, degree), sign)
-    return _unchecked(coeffs)
+        packed = _shift_adds(packed, width, exponents(v, degree), sign)
+    return _unpack(packed, degree, width, sign < 0)
 
 
 def bose_gf(s: int, degree: int) -> IntSeries:
@@ -198,9 +276,9 @@ def bose_gf(s: int, degree: int) -> IntSeries:
 
     Each 1/(1 - x^v) is taken as the two-term factors 1 + x^(v 2^j) with
     v 2^j <= degree, since 1/(1 - y) is the product over j of 1 + y^(2^j).
-    A step is one row add, so the product costs about degree^2 element
-    adds, where multiplying by the geometric rows 1 + x^v + x^2v + ... cost
-    about degree^2 ln(degree) / 2.
+    A step is one shift and one add, so the product costs about degree^2
+    lane adds, where multiplying by the geometric rows
+    1 + x^v + x^2v + ... cost about degree^2 ln(degree) / 2.
     """
     return _product(s, degree, _doublings)
 
@@ -222,19 +300,19 @@ def distinct_restricted_gf(n_parts: int, degree: int) -> IntSeries:
 
     The running product takes each 1/(1 - x^i) as the two-term factors
     1 + x^(i 2^j) with i 2^j <= degree, as bose_gf does, and each staircase
-    term is one row add of it into the sum.  n_parts is checked before
-    degree.
+    term is one shift of it added into the packed sum.  n_parts is checked
+    before degree.
     """
     integer("n_parts", n_parts, 1)
-    prod = [1] + [0] * series_degree(degree)
-    out = prod[:]
+    width = _lane_width(series_degree(degree))
+    prod = out = 1 << degree * width
     for i in range(1, n_parts + 1):
         tri = i * (i + 1) // 2
         if tri > degree:
             break
-        prod = _chain(prod, _doublings(i, degree))
-        _add_row(out, prod, tri)
-    return _unchecked(out)
+        prod = _shift_adds(prod, width, _doublings(i, degree))
+        out += prod >> tri * width
+    return _unpack(out, degree, width)
 
 
 @dataclass(frozen=True)

@@ -417,6 +417,59 @@ def test_restricted_fermi_grid_of_no_energy_raises_nothing():
     assert list(asymptotic.rho_restricted_fermi_grid(iter(()), "x", keep_half_term=False)) == []
 
 
+def _bose_point(E, n_parts, keep_half_term=True):
+    """rho_restricted_bose at one E as the two calls it was before
+    rho_restricted_bose_grid: the oracle the grid must match bit for bit."""
+    return pd.bose_density_s1(E) * pd.erdos_lehner_factor(E, n_parts, keep_half_term)
+
+
+BOSE_GRIDS = {
+    "integers": [float(n) for n in range(1, 2700)],
+    "non-integers": [2.5 + 3.7 * k for k in range(700)],
+    "unsorted": _UNSORTED,
+    "extremes": [5e-324, 1e-300, 0.5, 7.6e4, 76_500.0, 3],
+}
+
+
+@pytest.mark.parametrize("keep", [True, False])
+@pytest.mark.parametrize("n_parts", [1, 2, 20, 40, 2**53, 10**400],
+                         ids=["1", "2", "20", "40", "2^53", "1e400"])
+@pytest.mark.parametrize("grid", list(BOSE_GRIDS), ids=list(BOSE_GRIDS))
+def test_restricted_bose_grid_is_the_per_point_product(grid, n_parts, keep):
+    energies = BOSE_GRIDS[grid]
+    want = [_bose_point(E, n_parts, keep).hex() for E in energies]
+    got = asymptotic.rho_restricted_bose_grid(energies, n_parts, keep)
+    assert [value.hex() for value in got] == want
+    assert [pd.rho_restricted_bose(E, n_parts, keep).hex() for E in energies] == want
+
+
+@pytest.mark.parametrize(
+    "grid,n_parts",
+    [
+        ([2.0, 700.0, -1.0], 20),
+        ([2.0, 700.0, math.nan, 5.0], 20),
+        ([300.0, 1e6, -1.0], 20),  # the density overflows before the bad E
+        ([300.0, 1e6], 10**400),
+        ([-1.0, 300.0], 0),  # a bad E is named before a bad n_parts
+        ([1e6, 300.0], 0),  # and an overflowing density too
+        ([300.0, -1.0], 0),
+        ([300.0, 400.0], 2.5),
+        ([300.0, 400.0], True),
+        ([300.0, "1", 400.0], 5),
+    ],
+)
+def test_restricted_bose_grid_raises_at_the_first_bad_energy(grid, n_parts):
+    loop = _run(_bose_point(E, n_parts) for E in grid)
+    assert loop[1] is not None
+    assert _run(asymptotic.rho_restricted_bose_grid(grid, n_parts)) == loop
+    assert _run(pd.rho_restricted_bose(E, n_parts) for E in grid) == loop
+
+
+def test_restricted_bose_grid_of_no_energy_raises_nothing():
+    assert list(asymptotic.rho_restricted_bose_grid([], 0)) == []
+    assert list(asymptotic.rho_restricted_bose_grid(iter(()), "x", keep_half_term=False)) == []
+
+
 def test_restricted_fermi_against_exact():
     d30 = pd.distinct_restricted_table(30, 300)[300]
     value = pd.rho_restricted_fermi(300.0, 30)

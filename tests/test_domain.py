@@ -68,6 +68,10 @@ CASES = [
     ("erdos_lehner_factor.N", "n_parts", PART, lambda v: pd.erdos_lehner_factor(100.0, v)),
     ("rho_restricted_bose.E", "E", REAL, lambda v: pd.rho_restricted_bose(v, 5)),
     ("rho_restricted_bose.N", "n_parts", PART, lambda v: pd.rho_restricted_bose(100.0, v)),
+    ("rho_restricted_bose_grid.E", "E", REAL,
+     lambda v: list(asymptotic.rho_restricted_bose_grid([400.0, v, 300.0], 5))),
+    ("rho_restricted_bose_grid.N", "n_parts", PART,
+     lambda v: list(asymptotic.rho_restricted_bose_grid([100.5, 400.0], v))),
     ("rho_restricted_fermi.E", "E", REAL, lambda v: pd.rho_restricted_fermi(v, 5)),
     ("rho_restricted_fermi.N", "n_parts", PART, lambda v: pd.rho_restricted_fermi(100.5, v)),
     ("rho_restricted_fermi_grid.E", "E", REAL,

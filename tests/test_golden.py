@@ -66,6 +66,11 @@ ARGVS = [
     "audit --degree 1",
     "audit --degree 256",
     "audit --degree 400 --inject-fault",
+    "figure 5 --parts 40",
+    "figure 5 --parts 3",
+    "asym --s 1 --parts 20 --drop-half-term --min 1 --max 700",
+    "asym --s 1 --parts 12 --energies 700,2.5,90",
+    "exact --s 2 --distinct --max 15000",
 ]
 
 

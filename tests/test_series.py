@@ -148,19 +148,36 @@ def test_distinct_restricted_gf_matches_staircase_table(n_parts):
 
 def test_products_and_tables_share_no_row_step(monkeypatch):
     """The products and the s = 2 tables check each other in gf_vs_dp_*_s2,
-    so neither may run the other's row step: the products never sweep with
-    counting._add_parts, and the unbounded tables never call counting._add_row."""
+    so neither may run the other's code: the products never call the
+    tables' packed product, its lane width or their row steps, and the
+    tables never call the packed series kernel.  The unbounded tables never
+    call counting._add_row either."""
 
     def refuse(*args):
-        raise AssertionError("row step of the other route")
+        raise AssertionError("code of the other route")
 
     tables = {d: pd.build_table(pd.SpectrumSpec(2, d), 60).counts for d in (False, True)}
+    capped = pd.build_table(pd.SpectrumSpec(2, False, 5), 60).counts
+    euler = _dense_routes(2, 60)[2]
+    staircase = pd.distinct_restricted_table(5, 60)
     with monkeypatch.context() as patch:
-        patch.setattr(counting, "_add_parts", refuse)
-        with pytest.raises(AssertionError):
-            pd.build_table(pd.SpectrumSpec(2), 60)  # the patch is in effect
+        for name in ("_packed_distinct", "_lane_bits", "_add_parts", "_add_row"):
+            patch.setattr(counting, name, refuse)
+        for spec in (pd.SpectrumSpec(2), pd.SpectrumSpec(2, True), pd.SpectrumSpec(2, False, 5)):
+            with pytest.raises(AssertionError):
+                pd.build_table(spec, 60)  # the patches are in effect
         assert pd.bose_gf(2, 60).coeffs == tables[False]
         assert pd.fermi_gf(2, 60).coeffs == tables[True]
+        assert series._product(2, 60, _euler_exponents, -1) == euler
+        assert list(pd.distinct_restricted_gf(5, 60).coeffs) == staircase
+    with monkeypatch.context() as patch:
+        for name in ("_lane_width", "_shift_adds", "_unpack"):
+            patch.setattr(series, name, refuse)
+        with pytest.raises(AssertionError):
+            pd.bose_gf(2, 60)  # the patches are in effect
+        for d in (False, True):
+            assert pd.build_table(pd.SpectrumSpec(2, d), 60).counts == tables[d]
+        assert pd.build_table(pd.SpectrumSpec(2, False, 5), 60).counts == capped
     with monkeypatch.context() as patch:
         patch.setattr(counting, "_add_row", refuse)
         with pytest.raises(AssertionError):
@@ -170,29 +187,48 @@ def test_products_and_tables_share_no_row_step(monkeypatch):
 
 
 def test_product_rows_come_from_the_operands(monkeypatch):
-    """Every row a product adds comes from its operands, never from the
-    partial result it adds into: the convolution stays independent of the
-    in-place sweep it is checked against."""
+    """Every packed step is a function of its operand alone, the product
+    before it, and each chain starts from 1 and takes the factors of its
+    builder in order: the products stay independent of the table routes
+    they are checked against."""
     calls = []
+    shift_adds = series._shift_adds
 
-    def spy(dst, src, shift=0):
-        assert src is not dst
-        calls.append(shift)
-        return counting._add_row(dst, src, shift)
+    def spy(packed, width, exponents, sign=1):
+        exponents = list(exponents)
+        out = shift_adds(packed, width, exponents, sign)
+        want = packed
+        for k in exponents:  # floor division, in place of the kernel's shifts
+            want += sign * (want // 2 ** (k * width))
+        assert out == want
+        calls.append((packed, out, width, exponents))
+        return out
+
+    def chain(top):
+        """The exponent lists of the calls made since the last chain()."""
+        steps = calls[:]
+        calls.clear()
+        width = steps[0][2]
+        assert width == series._lane_width(top)
+        assert steps[0][0] == 1 << top * width
+        for (_, out, _, _), (operand, _, w, _) in zip(steps, steps[1:]):
+            assert operand is out and w == width
+        return [exponents for _, _, _, exponents in steps]
 
     tables = {d: pd.build_table(pd.SpectrumSpec(1, d), 60).counts for d in (False, True)}
-    staircase = pd.distinct_restricted_table(5, 60)
-    monkeypatch.setattr(series, "_add_row", spy)
-    assert pd.bose_gf(1, 60).coeffs == tables[False]
+    values = range(1, 61)
+    monkeypatch.setattr(series, "_shift_adds", spy)
+    bose = pd.bose_gf(1, 60)
+    assert bose.coeffs == tables[False]
+    assert chain(60) == [list(series._doublings(v, 60)) for v in values]
     assert pd.fermi_gf(1, 60).coeffs == tables[True]
-    euler = pd.bose_gf(1, 60) * series._product(
-        1, 60, lambda v, d: (2 * v,) if 2 * v <= d else (), -1)
-    assert euler.coeffs == tables[True]
-    assert calls
-    calls.clear()
-    assert list(pd.distinct_restricted_gf(5, 60).coeffs) == staircase
-    # The two-term factors of i = 1..5 and one staircase term per i.
-    assert len(calls) == sum(len(list(series._doublings(i, 60))) + 1 for i in range(1, 6))
+    assert chain(60) == [[v] for v in values]
+    signed = series._product(1, 60, _euler_exponents, -1)
+    # The signed chain is built to a guard lane at x^61.
+    assert chain(61) == [[2 * v] if 2 * v <= 60 else [] for v in values]
+    assert (bose * signed).coeffs == tables[True]
+    assert list(pd.distinct_restricted_gf(5, 60).coeffs) == pd.distinct_restricted_table(5, 60)
+    assert chain(60) == [list(series._doublings(i, 60)) for i in range(1, 6)]
 
 
 def test_gf_coefficients_match_tables():
@@ -222,14 +258,23 @@ def _dense_routes(s, degree):
                          [v for v in values if 2 * v <= degree], degree))
 
 
+def _euler_exponents(v, degree):
+    """The factor 1 - x^(2v) of euler_factorization_s*, or none once 2v
+    passes the degree."""
+    return (2 * v,) if 2 * v <= degree else ()
+
+
 def _chain_routes(s, degree):
     return (pd.bose_gf(s, degree), pd.fermi_gf(s, degree),
-            series._product(s, degree, lambda v, d: (2 * v,) if 2 * v <= d else (), -1))
+            series._product(s, degree, _euler_exponents, -1))
 
 
-# 2, 4, 8, 64 and 256 are powers of two, where the last doubling of v = 1
-# (and of every power-of-two v) lands on the degree itself.
-@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 7, 8, 64, 100, 256, 300])
+# 2, 4, 8, 64, 256 and 1024 are powers of two, where the last doubling of
+# v = 1 (and of every power-of-two v) lands on the degree itself.  The lanes
+# step from 64 to 128 bits at degree 281, and so does the signed chain's
+# at 280, whose guard lane is x^281.
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5, 6, 7, 8, 63, 64, 65, 100, 249, 256,
+                                    279, 280, 281, 300, 403, 559, 560, 1024])
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_two_term_chains_equal_the_dense_factor_products(s, degree):
     for got, want in zip(_chain_routes(s, degree), _dense_routes(s, degree)):
@@ -242,6 +287,18 @@ def test_two_term_chains_equal_the_dense_factor_products(s, degree):
 @given(s=st.integers(1, 4), degree=st.integers(0, 400))
 def test_two_term_chains_equal_the_dense_factor_products_property(s, degree):
     assert _chain_routes(s, degree) == _dense_routes(s, degree)
+
+
+def test_lane_width_holds_every_count():
+    """The lane width holds p(d) and the two spare bits the signed lanes
+    need, for every d <= 3000, in whole words, and is at most one word
+    above that: the bound loses under 16 bits to the exact counts."""
+    p = pd.build_table(pd.SpectrumSpec(1), 3000).counts
+    for d, count in enumerate(p):
+        width = series._lane_width(d)
+        assert width % 64 == 0
+        assert count.bit_length() + 2 <= width < count.bit_length() + 2 + 16 + 64, d
+    assert (series._lane_width(280), series._lane_width(281)) == (64, 128)
 
 
 def _finite_product(n_parts, degree):
@@ -263,7 +320,7 @@ def _staircase_series_geometric(n_parts, degree):
     return pd.IntSeries(out)
 
 
-@pytest.mark.parametrize("degree", [0, 1, 5, 100, 300])
+@pytest.mark.parametrize("degree", [0, 1, 5, 100, 280, 281, 300, 560])
 @pytest.mark.parametrize("n_parts", [1, 4, 30, None], ids=["1", "4", "30", "degree+1"])
 def test_split_staircase_series_is_the_geometric_one(n_parts, degree):
     n_parts = degree + 1 if n_parts is None else n_parts
