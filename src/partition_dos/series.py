@@ -7,26 +7,26 @@ The counting generating functions are finite products of sparse factors,
 
 truncated at a degree: a factor is included only while its part value fits
 under the truncation, and every omitted factor contributes 1 there.
-Coefficients are signed (intermediate factors like 1 - x^k need the sign)
-even though all final counts are nonnegative.
+IntSeries coefficients are signed, as the dense factor 1 - x^k needs,
+even though all the counts built here are nonnegative.
 
-Every product here is a chain of two-term factors 1 +/- x^k.  fermi_gf
+Every product here is a chain of two-term factors 1 + x^k.  fermi_gf
 takes one factor 1 + x^v per part value v; bose_gf and the staircase
 products of distinct_restricted_gf take each 1/(1 - x^v) as the factors
 1 + x^(v 2^j) with v 2^j <= degree, since 1/(1 - y) is the product over j
-of 1 + y^(2^j); the prod (1 - x^(2v)) side of euler_factorization_s* takes
-the factors 1 - x^(2v).  The running product is one Python int (Kronecker
+of 1 + y^(2^j).  The running product is one Python int (Kronecker
 substitution) whose lanes run high to low: coefficient j lives in lane
 degree - j, _lane_width bits wide, and the product starts as
 1 << degree * width.  Multiplying by 1 + x^k is then packed +=
 packed >> k * width, one shift and one add in C: the lanes pushed past
 x^degree fall off the bottom, so there is no mask and the int never grows.
-A factor 1 - x^k subtracts the shifted product instead, on signed lanes
-built to one guard lane past x^degree (see _shift_adds).  A staircase term
-adds the running product, shifted, into a packed sum the same way.
-_shift_adds is the one kernel, _product runs it over the part values m**s
-that counting.SpectrumSpec lists, _unpack reads the lanes once at the end,
-and identities() builds each product once.
+A staircase term adds the running product, shifted, into a packed sum the
+same way.  _shift_adds is the one kernel, _chain runs it over the part
+values m**s that counting.SpectrumSpec lists, _unpack reads the lanes once
+at the end, and identities() builds each product once.  The right side of
+euler_factorization_s* applies the factors 1 - x^(2v) to a finished bose
+chain as packed -= packed >> 2v * width; every partial product there is
+still a nonnegative count, so the lanes stay unsigned (see _euler_rhs).
 
 This kernel, its width and its unpacking are this module's own: they call
 nothing of counting's packed product _packed_distinct, its width
@@ -34,10 +34,10 @@ _lane_bits or the row steps _add_parts and _add_row, so gf_vs_dp_fermi_s2
 still pairs two codes with two width proofs, and each product step reads
 only its operand, never a table.
 
-IntSeries.__mul__ is the general convolution, kept for the last step of
-euler_factorization_s* and as the oracle the packed products are tested
-against, with the dense factors geometric_factor, one_plus_power and
-one_minus_power.  It adds each row with counting._add_row.
+IntSeries.__mul__ is the general convolution, kept as a public operation
+and as the oracle the packed products are tested against, with the dense
+factors geometric_factor, one_plus_power and one_minus_power.  It adds
+each row with counting._add_row.
 """
 
 from __future__ import annotations
@@ -92,10 +92,9 @@ class IntSeries:
     def __mul__(self, other: "IntSeries") -> "IntSeries":
         """The product truncated at the smaller degree.
 
-        The general convolution: the audit calls it only for the last step
-        of euler_factorization_s*, the bose product times the
-        prod (1 - x^(2v)) chain, and the tests use it, with the dense
-        factors, as the oracle for the packed chains of _product.
+        The general convolution: nothing in the package calls it, and the
+        tests use it, with the dense factors, as the oracle for the packed
+        chains of _chain and _euler_rhs.
         Each nonzero a_i of the sparser operand adds the other operand,
         times a_i and shifted by i, into the result with one
         counting._add_row.  The first such row seeds the result instead of
@@ -108,9 +107,8 @@ class IntSeries:
         d = min(self.degree, other.degree)
         a, b = self._coeffs[: d + 1], other._coeffs[: d + 1]
         # Iterate the sparser operand on the outside.  The dense factors
-        # (geometric tails, 1 +/- x^k) and prod (1 - x^(2v)), Euler's
-        # pentagonal series in x^2 for s = 1, are mostly zeros and their
-        # nonzero coefficients mostly +/-1, so most rows need no scaling.
+        # (geometric tails, 1 +/- x^k) are mostly zeros and their nonzero
+        # coefficients +/-1, so most rows need no scaling.
         if a.count(0) < b.count(0):
             a, b = b, a
         nonzero = compress(range(d + 1), a)
@@ -192,57 +190,34 @@ def _lane_width(degree: int) -> int:
     which is 2^sqrt(K degree) with K = 2 pi^2/(3 ln(2)^2) = 13.695...  Since
     (isqrt(m) + 1)^2 > m >= 13.7 degree - 1 for m = floor(13.7 degree),
     isqrt(m) + 1 bits hold p(n), with no float in the bound.
-    Every coefficient of every partial product is at most that p(n), in
-    absolute value: a product of factors 1 + x^k over part values m^s
+    Every coefficient of every partial product is a nonnegative count of
+    at most that p(n): a product of factors 1 + x^k over part values m^s
     counts some of the partitions of n, so it is at most p^s(n) <= p(n);
     the staircase partial sums count distinct partitions, at most
-    d(n) <= p(n); and each coefficient of a product of factors 1 - x^k is
-    at most that of the same factors 1 + x^k, in absolute value.
-    Two spare bits keep |c| < 2^(width - 2), which the signed lanes of
-    _shift_adds need: see there.
+    d(n) <= p(n); and the partial products of _euler_rhs count partitions
+    whose parts are distinct below some part value, at most p(n) too.
     """
-    bits = math.isqrt(137 * degree // 10) + 1 + 2
+    bits = math.isqrt(137 * degree // 10) + 1
     return -(-bits // 64) * 64
 
 
-def _shift_adds(packed: int, width: int, exponents, sign: int = 1) -> int:
-    """packed times 1 + sign * x^k for each k in exponents, every k >= 1.
+def _shift_adds(packed: int, width: int, exponents) -> int:
+    """packed times 1 + x^k for each k in exponents, every k >= 1.
 
-    packed holds coefficient j in lane top - j, width bits per lane, so
+    packed holds coefficient j in lane degree - j, width bits per lane, so
     x^k times it is packed >> k * width: lanes move down, and those past
-    x^top fall off the bottom, with no mask.  Each step reads only its
+    x^degree fall off the bottom, with no mask.  Each step reads only its
     operand, the product before that factor.
-
-    With sign -1 the lanes are signed: packed is the sum of c_i 2^(i width)
-    over lanes i, each digit |c_i| < 2^(width - 1).  The lanes that a shift
-    drops then sum to less than 2^(k width - 1) in absolute value, so the
-    floored shift is exactly the lanes it keeps, or that minus 1, and
-    subtracting it leaves every lane exact but lane 0, x^top, which may
-    gain 1.  A signed product is therefore built to one guard lane past its
-    degree and that lane is never read.  _lane_width(top) keeps every
-    coefficient below 2^(width - 2) in absolute value, and the guard lane's
-    error, at most one per factor, below 2^(width - 2) too, so every lane
-    stays a digit.
     """
-    if sign == 1:
-        for k in exponents:
-            packed += packed >> k * width
-    else:
-        for k in exponents:
-            packed -= packed >> k * width
+    for k in exponents:
+        packed += packed >> k * width
     return packed
 
 
-def _unpack(packed: int, degree: int, width: int, signed: bool = False) -> IntSeries:
+def _unpack(packed: int, degree: int, width: int) -> IntSeries:
     """The IntSeries of a packed product to x^degree: its lanes, read once
-    through machine words, in reverse order.  A signed product's lanes are
-    read through a bias of 2^(width - 1) each, and its guard lane is
-    dropped."""
+    through machine words, in reverse order."""
     lane_bytes = width // 8
-    if signed:
-        half = 1 << width - 1
-        packed += int.from_bytes(half.to_bytes(lane_bytes, "little") * (degree + 2), "little")
-        packed >>= width
     words = array("Q", packed.to_bytes(lane_bytes * (degree + 1), "little"))
     if sys.byteorder == "big":
         words.byteswap()
@@ -251,24 +226,21 @@ def _unpack(packed: int, degree: int, width: int, signed: bool = False) -> IntSe
     for i in range(step - 2, -1, -1):
         lanes = [hi << 64 | lo for hi, lo in zip(lanes, words[i::step])]
     lanes.reverse()
-    if signed:
-        lanes = map(operator.sub, lanes, repeat(half))
     return _unchecked(lanes)
 
 
-def _product(s: int, degree: int, exponents, sign: int = 1) -> IntSeries:
-    """Product of the factors 1 + sign * x^k over k in exponents(v, degree),
-    for each part value v <= degree of counting.SpectrumSpec(s): the one
-    product loop, packed with lanes high to low, and with a guard lane
-    when sign is -1.  s is checked first, then degree, then the part
-    values are listed."""
+def _chain(s: int, degree: int, exponents) -> tuple[int, int]:
+    """Product of the factors 1 + x^k over k in exponents(v, degree), for
+    each part value v <= degree of counting.SpectrumSpec(s): the one
+    product loop, packed with lanes high to low.  Returns the packed
+    product and its lane width.  s is checked first, then degree, then the
+    part values are listed."""
     spec = counting.SpectrumSpec(s)
-    top = series_degree(degree) + (sign < 0)
-    width = _lane_width(top)
-    packed = 1 << top * width
+    width = _lane_width(series_degree(degree))
+    packed = 1 << degree * width
     for v in spec.part_values(degree):
-        packed = _shift_adds(packed, width, exponents(v, degree), sign)
-    return _unpack(packed, degree, width, sign < 0)
+        packed = _shift_adds(packed, width, exponents(v, degree))
+    return packed, width
 
 
 def bose_gf(s: int, degree: int) -> IntSeries:
@@ -280,12 +252,32 @@ def bose_gf(s: int, degree: int) -> IntSeries:
     lane adds, where multiplying by the geometric rows
     1 + x^v + x^2v + ... cost about degree^2 ln(degree) / 2.
     """
-    return _product(s, degree, _doublings)
+    packed, width = _chain(s, degree, _doublings)
+    return _unpack(packed, degree, width)
 
 
 def fermi_gf(s: int, degree: int) -> IntSeries:
     """Product of (1 + x^(m**s)); coefficient of x^n counts distinct partitions."""
-    return _product(s, degree, lambda v, d: (v,))
+    packed, width = _chain(s, degree, lambda v, d: (v,))
+    return _unpack(packed, degree, width)
+
+
+def _euler_rhs(s: int, degree: int) -> IntSeries:
+    """prod 1/(1 - x^v) times prod (1 - x^(2v)) over the part values
+    v = m**s, the right side of euler_factorization_s*.
+
+    The bose chain is built afresh, so that bose_gf's result stays an
+    unpacked series read by gf_vs_dp_bose_s*, then each factor 1 - x^(2v)
+    with 2v <= degree is packed -= packed >> 2v * width; the factors past
+    the degree are 1 to x^degree.  After the factors of any set of values,
+    the product is prod over that set of (1 + x^v) times prod over the
+    rest of 1/(1 - x^v), so every lane stays a nonnegative count of at most
+    p(n) and no subtraction borrows across a lane.
+    """
+    packed, width = _chain(s, degree, _doublings)
+    for v in counting.SpectrumSpec(s).part_values(degree // 2):
+        packed -= packed >> 2 * v * width
+    return _unpack(packed, degree, width)
 
 
 def distinct_restricted_gf(n_parts: int, degree: int) -> IntSeries:
@@ -393,8 +385,6 @@ def identities(degree: int):
     yield "euler_odd_equals_distinct", counting.odd_parts_table(degree), unbounded[1, True]
 
     # prod (1 + x^v) = prod 1/(1 - x^v) * prod (1 - x^(2v)) over the part
-    # values v; 1 - x^(2v) is 1 to x^degree once 2v > degree.
+    # values v.
     for s in (1, 2):
-        rhs = products[s, False] * _product(
-            s, degree, lambda v, d: (2 * v,) if 2 * v <= d else (), -1)
-        yield f"euler_factorization_s{s}", products[s, True].coeffs, rhs.coeffs
+        yield f"euler_factorization_s{s}", products[s, True].coeffs, _euler_rhs(s, degree).coeffs

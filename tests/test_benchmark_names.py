@@ -44,6 +44,7 @@ def test_traced_names_resolve_and_are_restored():
     with layertrace.patched(layertrace.Tracer(), partition_dos) as tracer:
         during = bindings()
         list(series.identities(10))
+        series.IntSeries([1, 1]) * series.IntSeries([1, -1])  # IntSeries.__mul__ is wrapped
     assert during != before
     assert bindings() == before
     assert {"series.bose_gf", "series.fermi_gf", "series.mul",

@@ -71,6 +71,8 @@ ARGVS = [
     "asym --s 1 --parts 20 --drop-half-term --min 1 --max 700",
     "asym --s 1 --parts 12 --energies 700,2.5,90",
     "exact --s 2 --distinct --max 15000",
+    "audit --degree 298",
+    "audit --degree 299",
 ]
 
 

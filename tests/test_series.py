@@ -168,7 +168,7 @@ def test_products_and_tables_share_no_row_step(monkeypatch):
                 pd.build_table(spec, 60)  # the patches are in effect
         assert pd.bose_gf(2, 60).coeffs == tables[False]
         assert pd.fermi_gf(2, 60).coeffs == tables[True]
-        assert series._product(2, 60, _euler_exponents, -1) == euler
+        assert series._euler_rhs(2, 60) == euler
         assert list(pd.distinct_restricted_gf(5, 60).coeffs) == staircase
     with monkeypatch.context() as patch:
         for name in ("_lane_width", "_shift_adds", "_unpack"):
@@ -194,12 +194,12 @@ def test_product_rows_come_from_the_operands(monkeypatch):
     calls = []
     shift_adds = series._shift_adds
 
-    def spy(packed, width, exponents, sign=1):
+    def spy(packed, width, exponents):
         exponents = list(exponents)
-        out = shift_adds(packed, width, exponents, sign)
+        out = shift_adds(packed, width, exponents)
         want = packed
         for k in exponents:  # floor division, in place of the kernel's shifts
-            want += sign * (want // 2 ** (k * width))
+            want += want // 2 ** (k * width)
         assert out == want
         calls.append((packed, out, width, exponents))
         return out
@@ -223,10 +223,10 @@ def test_product_rows_come_from_the_operands(monkeypatch):
     assert chain(60) == [list(series._doublings(v, 60)) for v in values]
     assert pd.fermi_gf(1, 60).coeffs == tables[True]
     assert chain(60) == [[v] for v in values]
-    signed = series._product(1, 60, _euler_exponents, -1)
-    # The signed chain is built to a guard lane at x^61.
-    assert chain(61) == [[2 * v] if 2 * v <= 60 else [] for v in values]
-    assert (bose * signed).coeffs == tables[True]
+    # The Euler side builds its own bose chain; its factors 1 - x^(2v)
+    # follow outside the kernel.
+    assert series._euler_rhs(1, 60).coeffs == tables[True]
+    assert chain(60) == [list(series._doublings(v, 60)) for v in values]
     assert list(pd.distinct_restricted_gf(5, 60).coeffs) == pd.distinct_restricted_table(5, 60)
     assert chain(60) == [list(series._doublings(i, 60)) for i in range(1, 6)]
 
@@ -249,32 +249,24 @@ def _dense_chain(factor, values, degree):
 
 
 def _dense_routes(s, degree):
-    """bose_gf, fermi_gf and the prod (1 - x^(2v)) side of
-    euler_factorization_s* as dense-factor products."""
+    """bose_gf, fermi_gf and the right side of euler_factorization_s*,
+    the bose product times prod (1 - x^(2v)), as dense-factor products."""
     values = pd.SpectrumSpec(s).part_values(degree)
-    return (_dense_chain(pd.geometric_factor, values, degree),
-            _dense_chain(series.one_plus_power, values, degree),
-            _dense_chain(lambda v, d: pd.one_minus_power(2 * v, d),
-                         [v for v in values if 2 * v <= degree], degree))
-
-
-def _euler_exponents(v, degree):
-    """The factor 1 - x^(2v) of euler_factorization_s*, or none once 2v
-    passes the degree."""
-    return (2 * v,) if 2 * v <= degree else ()
+    bose = _dense_chain(pd.geometric_factor, values, degree)
+    return (bose, _dense_chain(series.one_plus_power, values, degree),
+            bose * _dense_chain(lambda v, d: pd.one_minus_power(2 * v, d),
+                                [v for v in values if 2 * v <= degree], degree))
 
 
 def _chain_routes(s, degree):
-    return (pd.bose_gf(s, degree), pd.fermi_gf(s, degree),
-            series._product(s, degree, _euler_exponents, -1))
+    return pd.bose_gf(s, degree), pd.fermi_gf(s, degree), series._euler_rhs(s, degree)
 
 
 # 2, 4, 8, 64, 256 and 1024 are powers of two, where the last doubling of
 # v = 1 (and of every power-of-two v) lands on the degree itself.  The lanes
-# step from 64 to 128 bits at degree 281, and so does the signed chain's
-# at 280, whose guard lane is x^281.
+# step from 64 to 128 bits at degree 299.
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5, 6, 7, 8, 63, 64, 65, 100, 249, 256,
-                                    279, 280, 281, 300, 403, 559, 560, 1024])
+                                    279, 280, 281, 298, 299, 300, 403, 559, 560, 1024])
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_two_term_chains_equal_the_dense_factor_products(s, degree):
     for got, want in zip(_chain_routes(s, degree), _dense_routes(s, degree)):
@@ -290,15 +282,36 @@ def test_two_term_chains_equal_the_dense_factor_products_property(s, degree):
 
 
 def test_lane_width_holds_every_count():
-    """The lane width holds p(d) and the two spare bits the signed lanes
-    need, for every d <= 3000, in whole words, and is at most one word
-    above that: the bound loses under 16 bits to the exact counts."""
+    """The lane width holds p(d), with two bits to spare, for every
+    d <= 3000, in whole words, and is at most one word above that: the
+    bound loses under 16 bits to the exact counts."""
     p = pd.build_table(pd.SpectrumSpec(1), 3000).counts
     for d, count in enumerate(p):
         width = series._lane_width(d)
         assert width % 64 == 0
         assert count.bit_length() + 2 <= width < count.bit_length() + 2 + 16 + 64, d
-    assert (series._lane_width(280), series._lane_width(281)) == (64, 128)
+    assert (series._lane_width(298), series._lane_width(299)) == (64, 128)
+
+
+@pytest.mark.parametrize("degree", [60, 299])
+@pytest.mark.parametrize("s", [1, 2])
+def test_euler_rhs_lanes_never_borrow(s, degree):
+    """The premise of _euler_rhs's unsigned lanes: after each factor
+    1 - x^(2v) on the bose chain, the lanes read as the nonnegative dense
+    product prod over the values u done of (1 + x^u) times prod over the
+    rest of 1/(1 - x^u), so no subtraction borrowed across a lane."""
+    values = pd.SpectrumSpec(s).part_values(degree)
+    rest = [pd.IntSeries([1], degree)]  # rest[i]: the geometric factors of values[i:]
+    for v in reversed(values):
+        rest.append(rest[-1] * pd.geometric_factor(v, degree))
+    rest.reverse()
+    done = pd.IntSeries([1], degree)
+    packed, width = series._chain(s, degree, series._doublings)
+    for i, v in enumerate(v for v in values if 2 * v <= degree):
+        packed -= packed >> 2 * v * width
+        done = done * series.one_plus_power(v, degree)
+        assert series._unpack(packed, degree, width) == done * rest[i + 1], v
+    assert series._unpack(packed, degree, width) == series._euler_rhs(s, degree)
 
 
 def _finite_product(n_parts, degree):
